@@ -1,23 +1,15 @@
-"""CFG analyses: dataflow framework, dominance, loops, and classic
-bit-vector analyses used as substrates by the check optimizer."""
+"""CFG analyses used as substrates by the check optimizer: block
+orders, dominance, loops, affine forms and value ranges."""
 
 from .affine import AffineEnv, compute_affine_forms
-from .availexpr import (AvailableExpressionsProblem, available_expressions,
-                        all_expressions, expr_key)
-from .dataflow import (DataflowProblem, DataflowResult, reverse_postorder,
-                       solve)
+from .dataflow import reverse_postorder
 from .dominance import DominatorTree
 from .intervals import Interval, IntervalAnalysis
-from .liveness import LivenessProblem, live_variables
 from .loops import Loop, LoopForest
 from .postdom import PostDominators
-from .reachingdefs import ReachingDefsProblem, reaching_definitions
 
 __all__ = [
-    "AffineEnv", "AvailableExpressionsProblem", "DataflowProblem",
-    "DataflowResult", "DominatorTree", "Interval", "IntervalAnalysis",
-    "LivenessProblem", "Loop",
-    "LoopForest", "PostDominators", "ReachingDefsProblem", "all_expressions",
-    "available_expressions", "compute_affine_forms", "expr_key",
-    "live_variables", "reaching_definitions", "reverse_postorder", "solve",
+    "AffineEnv", "DominatorTree", "Interval", "IntervalAnalysis", "Loop",
+    "LoopForest", "PostDominators", "compute_affine_forms",
+    "reverse_postorder",
 ]

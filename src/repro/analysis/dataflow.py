@@ -1,60 +1,20 @@
-"""A generic iterative dataflow framework.
+"""The block order the project's dataflow passes iterate in.
 
-Problems are stated as transfer functions over sets of hashable facts
-with union or intersection meets.  The solver iterates to a fixed point
-in reverse postorder (forward problems) or postorder (backward
-problems), which converges in a handful of passes for reducible CFGs.
-
-This single framework drives every analysis in the project: liveness,
-reaching definitions, available expressions, the PRE systems, and the
-paper's check availability/anticipatability (section 3.2).
+There is no generic solver here.  The check availability and
+anticipatability systems (:mod:`repro.checks.dataflow`, section 3.2),
+value ranges, induction variables, postdominators and affine forms each
+run their own iteration over their own lattice.  What they share is
+:func:`reverse_postorder`: visiting blocks entry first lets forward
+problems converge in a handful of passes on reducible CFGs, and its
+reverse serves backward ones.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-
-FactSet = FrozenSet[Hashable]
-
-EMPTY: FactSet = frozenset()
-
-
-class DataflowProblem:
-    """Base class for dataflow problems.
-
-    Subclasses choose a direction and a meet, and implement
-    :meth:`transfer`.  ``boundary()`` seeds the entry (forward) or the
-    exit blocks (backward); ``initial()`` seeds every other block --
-    use the universe for intersection (must) problems and the empty set
-    for union (may) problems.
-    """
-
-    direction = "forward"  # or "backward"
-    meet = "intersection"  # or "union"
-
-    def boundary(self) -> FactSet:
-        """Facts at the CFG boundary."""
-        return EMPTY
-
-    def initial(self) -> FactSet:
-        """Optimistic initial facts for interior blocks."""
-        return EMPTY
-
-    def transfer(self, block: BasicBlock, facts: FactSet) -> FactSet:
-        """Propagate ``facts`` through ``block``."""
-        raise NotImplementedError
-
-
-class DataflowResult:
-    """IN/OUT fact sets per block."""
-
-    def __init__(self, in_facts: Dict[BasicBlock, FactSet],
-                 out_facts: Dict[BasicBlock, FactSet]) -> None:
-        self.in_facts = in_facts
-        self.out_facts = out_facts
 
 
 def reverse_postorder(function: Function) -> List[BasicBlock]:
@@ -84,61 +44,3 @@ def reverse_postorder(function: Function) -> List[BasicBlock]:
         visit(function.entry)
     order.reverse()
     return order
-
-
-def solve(function: Function, problem: DataflowProblem) -> DataflowResult:
-    """Run ``problem`` to a fixed point over ``function``'s CFG."""
-    rpo = reverse_postorder(function)
-    preds = function.predecessor_map()
-    forward = problem.direction == "forward"
-    order = rpo if forward else list(reversed(rpo))
-
-    exits = [b for b in rpo if not b.successors()]
-    in_facts: Dict[BasicBlock, FactSet] = {}
-    out_facts: Dict[BasicBlock, FactSet] = {}
-    for block in rpo:
-        in_facts[block] = problem.initial()
-        out_facts[block] = problem.initial()
-
-    def merge(sources: List[FactSet]) -> FactSet:
-        if not sources:
-            return problem.boundary()
-        if problem.meet == "union":
-            merged = set()
-            for source in sources:
-                merged |= source
-            return frozenset(merged)
-        merged_i = set(sources[0])
-        for source in sources[1:]:
-            merged_i &= source
-        return frozenset(merged_i)
-
-    changed = True
-    while changed:
-        changed = False
-        for block in order:
-            if forward:
-                if block is function.entry:
-                    incoming = problem.boundary()
-                else:
-                    incoming = merge([out_facts[p] for p in preds[block]])
-                in_facts[block] = incoming
-                outgoing = problem.transfer(block, incoming)
-                if outgoing != out_facts[block]:
-                    out_facts[block] = outgoing
-                    changed = True
-            else:
-                successors = block.successors()
-                if not successors:
-                    outgoing = problem.boundary()
-                else:
-                    outgoing = merge([in_facts[s] for s in successors])
-                out_facts[block] = outgoing
-                incoming = problem.transfer(block, outgoing)
-                if incoming != in_facts[block]:
-                    in_facts[block] = incoming
-                    changed = True
-    # For backward problems, IN holds the facts at block *entry* computed
-    # from OUT; naming stays consistent either way.
-    del exits
-    return DataflowResult(in_facts, out_facts)

@@ -65,8 +65,10 @@ class MarksteinInserter(PreheaderInserter):
             return []
         found: List[CanonicalCheck] = []
         seen: Set[CanonicalCheck] = set()
-        for block in loop.blocks:
-            if block is loop.header:
+        # function order, not the identity-hashed ``loop.blocks`` set:
+        # hoist order must not follow heap addresses
+        for block in self.function.blocks:
+            if block not in loop.blocks or block is loop.header:
                 continue
             if not domtree.dominates(block, latch):
                 continue

@@ -1,64 +1,58 @@
 """Compilation caching for the measurement harness and the service.
 
-The frontend prefix of the pipeline (parse -> lower -> [rotate] -> SSA)
-does not depend on the optimizer configuration, yet the table runs
-evaluate ~19 configurations per benchmark.  :class:`FrontendCache`
-memoizes the post-SSA module per ``(source hash, frontend options)``
-key and hands out a deep copy per request, so one table run pays the
-frontend exactly once per program.
+Two caches memoize the two stages of the pipeline that many requests
+share, and both rest on one artifact store (:class:`_ArtifactStore`):
 
-The cache keeps counters (``frontend_compiles``, ``hits``, ``misses``,
-``evictions``) that the benchmark tests assert on — snapshot them via
-:meth:`FrontendCache.stats_object` — and every request records either
-the fresh pass events or a ``frontend``/``clone`` pair (with
-``cached=True``) into the caller's :class:`PipelineTrace`.
+* :class:`FrontendCache` memoizes the post-SSA module (parse -> lower
+  -> [inline] -> [rotate] -> SSA) per ``(source hash, frontend
+  options)`` key.  The frontend does not depend on the optimizer
+  configuration, yet a table run evaluates ~19 configurations per
+  program, so every request gets a private copy of one cached module
+  and a table run pays the frontend once per program.  A request
+  records either the fresh pass events or a ``frontend``/``clone``
+  pair (``cached=True``) into the caller's :class:`PipelineTrace`.
+* :class:`BackendCache` memoizes the *translated* back-end module per
+  ``(module fingerprint, engine version[, profile])`` key, so service
+  workers and ``--jobs`` pools skip SSA destruction and translation
+  when they execute one optimized module twice.  Compiled modules hold
+  no run state, so every caller shares one instance per key.
 
-An optional on-disk layer (``disk_dir`` or the ``REPRO_CACHE_DIR``
-environment variable) pickles compiled frontends keyed by the same
-hash, surviving across processes.  The layer is safe under concurrent
-writers — the compile service runs many workers against one cache
-directory — because entries are written to a temp file *in the same
-directory* and atomically renamed into place (readers never observe a
-partial entry).  Entries are framed with a sha256 integrity digest, so
-any corrupt, truncated, or otherwise unreadable entry — including a
-single flipped byte that a raw pickle would silently decode into a
-different module — is treated as a miss and recompiled.  Reads and
-writes pass the ``diskcache.read`` / ``diskcache.write`` fault points
-(:mod:`repro.faults`); the resilience suite asserts the miss-never-
-corruption contract by arming them.
+The store owns the four mechanisms the two caches have in common:
 
-The in-memory layer is LRU-bounded when ``max_entries`` is given
-(long-lived servers; unbounded by default for one-shot table runs) and
-guarded by a lock so the service's thread-mode workers can share one
-cache.
+* **Memory LRU.**  An ordered map guarded by a lock (the service's
+  thread-mode workers share one cache), bounded by ``max_entries``
+  (unbounded when unset) with an ``evictions`` count.
+* **Sealed disk read.**  With ``disk_dir`` (or ``REPRO_CACHE_DIR`` for
+  the process-wide caches) entries persist across processes, framed
+  ``RPRC1 magic + sha256(pickle) + pickle``.  Any corrupt, truncated,
+  legacy or unreadable entry -- including a single flipped byte that a
+  raw pickle would silently decode into a different module -- is a
+  miss, never a wrong result.
+* **Atomic publish.**  :func:`atomic_write` writes a pid+tid temp file
+  next to the entry and ``os.replace``\\ s it into place, so readers see
+  the old entry or the new one, never a partial write.  Entries are
+  encoded only when a disk layer is set.  The edge-profile artifact
+  (:mod:`repro.pipeline.profile`) is published the same way.
+* **Cross-process single-flight.**  With a disk layer, a miss takes a
+  per-key advisory ``fcntl.flock`` on a ``<entry>.lock`` sidecar,
+  re-reads the disk once the lock is held (another process may have
+  published the entry while we waited), and only then builds and
+  publishes.  A cold key hammered by every shard of a
+  :mod:`repro.cluster` deployment is built exactly once cluster-wide.
+  The lock only gates duplicate work: failing to take it -- no
+  ``fcntl`` (non-POSIX), an unwritable or squatted lock path, a holder
+  that outlives ``REPRO_CACHE_LOCK_TIMEOUT`` seconds, an armed
+  ``cache.lock`` fault -- degrades to lock-less duplicate work
+  (``lock_degraded``), never to a failed or wrong build.  Lock files
+  are never unlinked: an unlink racing a fresh open would split the
+  lock across two inodes and readmit the double build.
 
-With a disk layer configured, cache fills are additionally
-**cluster-wide single-flight**: before compiling a missed key the
-cache takes a per-key advisory file lock (``fcntl.flock`` on a
-``<entry>.lock`` sidecar), re-checks the disk entry once the lock is
-held (another process may have published it while we waited), and only
-then compiles and publishes.  A cold key hammered by every shard of a
-:mod:`repro.cluster` deployment therefore compiles exactly once
-cluster-wide.  The lock is strictly an optimization gate: any failure
-to take it — missing ``fcntl`` (non-POSIX), an unwritable or corrupt
-lock path, a holder that outlives ``REPRO_CACHE_LOCK_TIMEOUT``
-seconds, or an armed ``cache.lock`` fault — degrades to lock-less
-duplicate work, never to a failed or wrong compile.  Lock files are
-never unlinked (an unlink racing a fresh open would split the lock
-across two inodes and readmit the double-compile).
+Disk reads and writes pass the ``diskcache.read`` / ``diskcache.write``
+fault points (:mod:`repro.faults`); the resilience suite asserts the
+miss-never-corruption contract by arming them.
 
-:class:`BackendCache` is the same idea one stage later: it memoizes
-the *translated* Python back-end module per ``(module fingerprint,
-engine version)`` key, so service workers and ``--jobs`` pools skip
-SSA destruction and re-translation when they execute the same
-optimized module twice.  The fingerprint is the printed IR plus a
-canonical rendering of the declarations the printer omits (scalar
-types, parameter types, input defaults) — everything the code
-generator consumes.  Compiled modules are immutable at run time
-(execution state lives in a per-run ``_Runtime``), so the in-memory
-layer shares one :class:`CompiledPythonModule` instance per key
-instead of cloning; the disk layer pickles the (destructed module,
-generated source) pair and re-``exec``\\ s on load.
+Each cache adds only what differs: its key and file name, how an entry
+is built, encoded and decoded, and its trace events.
 """
 
 from __future__ import annotations
@@ -70,11 +64,11 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from .. import faults
 from ..ir.function import Module
-from .driver import module_size, run_frontend
+from .driver import module_size, run_frontend, translate
 from .trace import PipelineTrace
 
 try:  # POSIX only; the lock degrades to duplicate work without it
@@ -109,14 +103,18 @@ BACKEND_CACHE_DEFAULT_MAX_ENTRIES = 512
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
+#: What ``pickle.dumps`` raises on a module it cannot encode.
+_PICKLE_ERRORS = (pickle.PickleError, TypeError, AttributeError,
+                  RecursionError)
+
 #: Everything a disk-cache read can legitimately die of: I/O errors,
 #: truncated or garbage pickles, entries written by an incompatible
-#: version, and injected faults.  All of them mean "miss", never a
-#: failed compile.
+#: version (including generated source that no longer compiles), and
+#: injected faults.  All of them mean "miss", never a failed compile.
 _DISK_READ_ERRORS = (OSError, faults.FaultError, pickle.PickleError,
                      EOFError, ValueError, AttributeError, ImportError,
                      IndexError, KeyError, MemoryError,
-                     UnicodeDecodeError)
+                     UnicodeDecodeError, SyntaxError, TypeError)
 
 #: On-disk entries are framed ``MAGIC + sha256(payload) + payload``.
 #: Unpickling raw bytes would happily decode a flipped byte into a
@@ -140,6 +138,31 @@ def _unseal_entry(data: bytes) -> Optional[bytes]:
     if hashlib.sha256(blob).digest() != data[len(_DISK_MAGIC):header]:
         return None
     return blob
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Publish ``data`` at ``path`` atomically; raises ``OSError``.
+
+    The temp file lives next to ``path`` so the final ``os.replace``
+    is a same-filesystem rename: readers see the old file or the new
+    one, never a partial write.  Concurrent writers of one path each
+    rename their own temp file (pid + thread id disambiguated) and the
+    last one wins.  A failed write leaves no temp file behind.
+    """
+    tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _lock_timeout() -> float:
@@ -167,11 +190,10 @@ class _FillLock:
     is never unlinked (see the module docstring for why).
     """
 
-    __slots__ = ("path", "timeout", "held", "waited", "_fd")
+    __slots__ = ("path", "held", "waited", "_fd")
 
-    def __init__(self, path: str, timeout: Optional[float] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.timeout = timeout if timeout is not None else _lock_timeout()
         self.held = False
         #: True when another process held the lock when we arrived —
         #: after acquiring, the caller should expect a published entry.
@@ -187,7 +209,7 @@ class _FillLock:
             if parent:
                 os.makedirs(parent, exist_ok=True)
             self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-            deadline = time.monotonic() + self.timeout
+            deadline = time.monotonic() + _lock_timeout()
             while True:
                 try:
                     fcntl.flock(self._fd,
@@ -224,63 +246,140 @@ class _FillLock:
         self._fd = None
         self.held = False
 
-    def __enter__(self) -> "_FillLock":
-        self.acquire()
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
+class _ArtifactStore:
+    """The memory LRU, sealed disk layer, atomic publish and fill lock
+    both caches share (see the module docstring).
 
-
-class CacheStats:
-    """An immutable counter snapshot of one :class:`FrontendCache`.
-
-    Consumed by the service metrics registry and printed by
-    ``repro tables --timings``; ``as_dict()`` feeds the ``--json``
-    document (field set locked by the golden-file test).
+    A cache names an entry's file (:meth:`_file_name`) and encodes an
+    entry for disk (:meth:`_encode`); each lookup passes how to build
+    a missed entry and how to decode a disk payload.
     """
 
-    __slots__ = ("frontend_compiles", "hits", "misses", "disk_hits",
-                 "evictions", "entries")
+    def __init__(self, disk_dir: Optional[str] = None,
+                 max_entries: Optional[int] = None) -> None:
+        self.disk_dir = disk_dir
+        self.max_entries = max_entries if max_entries and max_entries > 0 \
+            else None
+        self.hits = 0
+        #: Entries built here: every miss builds exactly once.
+        self.misses = 0
+        self.disk_hits = 0
+        self.evictions = 0
+        #: Fills that found another process's build in progress and
+        #: waited on the cross-process lock instead of duplicating it.
+        self.lock_waits = 0
+        #: Fills that could not take the lock (timeout, I/O failure,
+        #: armed ``cache.lock`` fault) and built redundantly.
+        self.lock_degraded = 0
+        self._lock = threading.Lock()
+        self._memory: "OrderedDict[Hashable, object]" = OrderedDict()
 
-    def __init__(self, frontend_compiles: int = 0, hits: int = 0,
-                 misses: int = 0, disk_hits: int = 0, evictions: int = 0,
-                 entries: int = 0) -> None:
-        self.frontend_compiles = frontend_compiles
-        self.hits = hits
-        self.misses = misses
-        self.disk_hits = disk_hits
-        self.evictions = evictions
-        self.entries = entries
+    def _file_name(self, key: Hashable) -> str:
+        raise NotImplementedError
 
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
+    def _encode(self, entry: object) -> Optional[bytes]:
+        """The disk payload of ``entry`` (``None``: memory only)."""
+        raise NotImplementedError
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
+    def _path(self, key: Hashable) -> str:
+        return os.path.join(self.disk_dir or "", self._file_name(key))
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "frontend_compiles": self.frontend_compiles,
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
-            "entries": self.entries,
-        }
+    def _remember(self, key: Hashable, entry: object) -> None:
+        with self._lock:
+            self._memory[key] = entry
+            self._memory.move_to_end(key)
+            if self.max_entries is not None:
+                while len(self._memory) > self.max_entries:
+                    self._memory.popitem(last=False)
+                    self.evictions += 1
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
+    def _read(self, key: Hashable,
+              decode: Callable[[bytes], object]) -> Optional[object]:
+        """The decoded disk entry for ``key``, or ``None`` (a miss)."""
+        if not self.disk_dir:
+            return None
+        try:
+            faults.fire("diskcache.read")
+            with open(self._path(key), "rb") as handle:
+                data = handle.read()
+            blob = _unseal_entry(faults.corrupt_bytes("diskcache.read",
+                                                      data))
+            entry = decode(blob) if blob is not None else None
+        except _DISK_READ_ERRORS:
+            return None  # corrupt/truncated/incompatible entry == miss
+        if entry is not None:
+            self.disk_hits += 1
+            self._remember(key, entry)
+        return entry
+
+    def _publish(self, key: Hashable, entry: object) -> None:
+        blob = self._encode(entry)
+        if blob is None:
+            return
+        try:
+            faults.fire("diskcache.write")
+            atomic_write(self._path(key), faults.corrupt_bytes(
+                "diskcache.write", _seal_entry(blob)))
+        except (OSError, faults.FaultError):
+            pass  # caching is best-effort; never fail a compile
+
+    def _fill(self, key: Hashable, build: Callable[[], object]) -> object:
+        entry = build()
+        self.misses += 1
+        self._remember(key, entry)
+        if self.disk_dir:
+            self._publish(key, entry)
+        return entry
+
+    def _lookup(self, key: Hashable, build: Callable[[], object],
+                decode: Callable[[bytes], object]) -> Tuple[object, bool]:
+        """``(entry, fresh)``: memory, then disk, else ``build()``.
+
+        With a disk layer the build runs under the key's fill lock, and
+        a fill that waited for another process's build re-reads the
+        disk first.  ``fresh`` is True when this call built the entry.
+        """
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is not None:
+                self._memory.move_to_end(key)
+        if entry is None:
+            entry = self._read(key, decode)
+        if entry is not None:
+            self.hits += 1
+            return entry, False
+        if not self.disk_dir:
+            return self._fill(key, build), True
+        lock = _FillLock(self._path(key) + ".lock")
+        try:
+            if not lock.acquire():
+                self.lock_degraded += 1
+            elif lock.waited:
+                self.lock_waits += 1
+                entry = self._read(key, decode)
+                if entry is not None:
+                    self.hits += 1
+                    return entry, False
+            return self._fill(key, build), True
+        finally:
+            lock.release()
+
+    def clear(self) -> None:
+        """Drop the in-memory layer (the disk layer is left alone)."""
+        with self._lock:
+            self._memory.clear()
+
+    def _counters(self) -> Dict[str, int]:
+        with self._lock:
+            entries = len(self._memory)
+        return {"hits": self.hits, "misses": self.misses,
+                "disk_hits": self.disk_hits, "evictions": self.evictions,
+                "entries": entries}
 
     def __repr__(self) -> str:
-        return ("CacheStats(compiles=%d, hits=%d, misses=%d, "
-                "disk_hits=%d, evictions=%d, entries=%d)"
-                % (self.frontend_compiles, self.hits, self.misses,
-                   self.disk_hits, self.evictions, self.entries))
+        return "%s(%d entries, %d hits, %d misses)" % (
+            type(self).__name__, len(self._memory), self.hits, self.misses)
 
 
 class _CacheEntry:
@@ -291,19 +390,17 @@ class _CacheEntry:
     ``blob=None`` (unpicklable module) degrades to deepcopy.
     """
 
-    __slots__ = ("module", "blob", "size", "trace")
+    __slots__ = ("module", "blob", "size")
 
-    def __init__(self, module: Module,
-                 trace: Optional[PipelineTrace] = None) -> None:
+    def __init__(self, module: Module, blob: Optional[bytes] = None) -> None:
         self.module = module
-        self.trace = trace
         self.size = module_size(module)
-        try:
-            self.blob: Optional[bytes] = pickle.dumps(module,
-                                                      _PICKLE_PROTOCOL)
-        except (pickle.PickleError, TypeError, AttributeError,
-                RecursionError):
-            self.blob = None
+        if blob is None:
+            try:
+                blob = pickle.dumps(module, _PICKLE_PROTOCOL)
+            except _PICKLE_ERRORS:
+                pass
+        self.blob = blob
 
     def clone(self) -> Module:
         if self.blob is not None:
@@ -311,37 +408,23 @@ class _CacheEntry:
         return copy.deepcopy(self.module)
 
 
-class FrontendCache:
+def _decode_frontend(blob: bytes) -> Optional[_CacheEntry]:
+    module = pickle.loads(blob)
+    return _CacheEntry(module, blob) if isinstance(module, Module) else None
+
+
+class FrontendCache(_ArtifactStore):
     """Shares one parsed+lowered+SSA module across configurations.
 
     ``frontend()`` returns a private deep copy on every call, so
     callers may mutate (optimize, destruct) their module freely.
     """
 
-    def __init__(self, disk_dir: Optional[str] = None,
-                 max_entries: Optional[int] = None) -> None:
-        self.disk_dir = disk_dir
-        self.max_entries = max_entries if max_entries and max_entries > 0 \
-            else None
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
-        #: Fills that found another process's compile in progress and
-        #: waited on the cross-process lock instead of duplicating it.
-        self.lock_waits = 0
-        #: Fills that could not take the lock (timeout, I/O failure,
-        #: armed ``cache.lock`` fault) and compiled redundantly.
-        self.lock_degraded = 0
-        #: Number of times the frontend passes actually executed — the
-        #: counter the "at most once per program per table run"
-        #: acceptance test asserts on.
-        self.frontend_compiles = 0
-        self._lock = threading.Lock()
-        self._memory: "OrderedDict[Tuple[str, bool, bool, bool], _CacheEntry]" \
-            = OrderedDict()
-
-    # -- keys ----------------------------------------------------------
+    @property
+    def frontend_compiles(self) -> int:
+        """Times the frontend passes actually ran — the counter the
+        "at most once per program per table run" test asserts on."""
+        return self.misses
 
     @staticmethod
     def key(source: str, insert_checks: bool = True,
@@ -350,104 +433,13 @@ class FrontendCache:
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         return (digest, insert_checks, rotate_loops, inline)
 
-    def _disk_path(self, key: Tuple[str, bool, bool, bool]) -> str:
+    def _file_name(self, key: Tuple[str, bool, bool, bool]) -> str:
         digest, insert_checks, rotate_loops, inline = key
-        name = "%s-%d%d%d.frontend.pickle" % (digest, insert_checks,
+        return "%s-%d%d%d.frontend.pickle" % (digest, insert_checks,
                                               rotate_loops, inline)
-        return os.path.join(self.disk_dir or "", name)
 
-    # -- the on-disk layer ---------------------------------------------
-
-    def _load_disk(self, key: Tuple[str, bool, bool, bool]
-                   ) -> Optional[_CacheEntry]:
-        if not self.disk_dir:
-            return None
-        try:
-            faults.fire("diskcache.read")
-            with open(self._disk_path(key), "rb") as handle:
-                data = handle.read()
-            blob = _unseal_entry(faults.corrupt_bytes("diskcache.read",
-                                                      data))
-            if blob is None:
-                return None  # corrupt/truncated/legacy frame == miss
-            module = pickle.loads(blob)
-        except _DISK_READ_ERRORS:
-            return None  # corrupt/truncated/unreadable entry == miss
-        if not isinstance(module, Module):
-            return None
-        self.disk_hits += 1
-        return _CacheEntry(module)
-
-    def _store_disk(self, key: Tuple[str, bool, bool, bool],
-                    blob: Optional[bytes]) -> None:
-        """Publish one entry atomically.
-
-        The temp file lives in the cache directory itself so the final
-        ``os.replace`` is a same-filesystem rename — concurrent
-        readers see either the old entry or the new one, never a
-        partial write; concurrent writers of the same key each rename
-        their own temp file (pid + thread id disambiguated) and the
-        last one wins with identical content.
-        """
-        if not self.disk_dir or blob is None:
-            return
-        path = self._disk_path(key)
-        tmp = "%s.tmp.%d.%d" % (path, os.getpid(),
-                                threading.get_ident())
-        try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            faults.fire("diskcache.write")
-            data = faults.corrupt_bytes("diskcache.write",
-                                        _seal_entry(blob))
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except (OSError, faults.FaultError):
-            # caching is best-effort; never fail a compile.  Don't
-            # leave the temp file behind if the rename failed.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    # -- the in-memory layer -------------------------------------------
-
-    def _memory_get(self, key: Tuple[str, bool, bool, bool]
-                    ) -> Optional[_CacheEntry]:
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)  # LRU refresh
-            return entry
-
-    def _memory_put(self, key: Tuple[str, bool, bool, bool],
-                    entry: _CacheEntry) -> None:
-        with self._lock:
-            self._memory[key] = entry
-            self._memory.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._memory) > self.max_entries:
-                    self._memory.popitem(last=False)
-                    self.evictions += 1
-
-    def _fill(self, key: Tuple[str, bool, bool, bool], source: str,
-              insert_checks: bool, rotate_loops: bool, inline: bool,
-              trace: Optional[PipelineTrace]) -> _CacheEntry:
-        """Compile ``source`` and publish it to both layers (miss path)."""
-        compile_trace = PipelineTrace()
-        module = run_frontend(source, insert_checks=insert_checks,
-                              rotate_loops=rotate_loops, ssa=True,
-                              trace=compile_trace, inline=inline)
-        entry = _CacheEntry(module, compile_trace)
-        self._memory_put(key, entry)
-        self.misses += 1
-        self.frontend_compiles += 1
-        self._store_disk(key, entry.blob)
-        if trace is not None:
-            trace.extend(compile_trace)
-        return entry
-
-    # -- the public API ------------------------------------------------
+    def _encode(self, entry: _CacheEntry) -> Optional[bytes]:
+        return entry.blob
 
     def frontend(self, source: str, insert_checks: bool = True,
                  rotate_loops: bool = False,
@@ -455,42 +447,21 @@ class FrontendCache:
                  inline: bool = False) -> Module:
         """A fresh deep copy of the cached frontend module for
         ``source``, compiling (and caching) it on first request."""
-        key = self.key(source, insert_checks, rotate_loops, inline)
-        fresh = False
-        entry = self._memory_get(key)
-        if entry is None:
-            entry = self._load_disk(key)
-            if entry is not None:
-                self._memory_put(key, entry)
-        if entry is None and self.disk_dir:
-            # Cross-process single-flight: take the per-key fill lock,
-            # then re-check the disk — another process may have
-            # published the entry while we waited for the holder.
-            lock = _FillLock(self._disk_path(key) + ".lock")
-            try:
-                if lock.acquire():
-                    if lock.waited:
-                        self.lock_waits += 1
-                        entry = self._load_disk(key)
-                        if entry is not None:
-                            self._memory_put(key, entry)
-                else:
-                    self.lock_degraded += 1
-                if entry is None:
-                    entry = self._fill(key, source, insert_checks,
-                                       rotate_loops, inline, trace)
-                    fresh = True
-            finally:
-                lock.release()
-        elif entry is None:
-            entry = self._fill(key, source, insert_checks, rotate_loops,
-                               inline, trace)
-            fresh = True
-        if not fresh:
-            self.hits += 1
+
+        def build() -> _CacheEntry:
+            compile_trace = PipelineTrace()
+            module = run_frontend(source, insert_checks=insert_checks,
+                                  rotate_loops=rotate_loops, ssa=True,
+                                  trace=compile_trace, inline=inline)
             if trace is not None:
-                trace.record("frontend", 0.0, size_after=entry.size,
-                             cached=True)
+                trace.extend(compile_trace)
+            return _CacheEntry(module)
+
+        key = self.key(source, insert_checks, rotate_loops, inline)
+        entry, fresh = self._lookup(key, build, _decode_frontend)
+        if trace is not None and not fresh:
+            trace.record("frontend", 0.0, size_after=entry.size,
+                         cached=True)
         start = time.perf_counter()
         module = entry.clone()
         if trace is not None:
@@ -498,27 +469,9 @@ class FrontendCache:
                          size_before=entry.size, size_after=entry.size)
         return module
 
-    def clear(self) -> None:
-        """Drop the in-memory layer (the disk layer is left alone)."""
-        with self._lock:
-            self._memory.clear()
-
-    def stats_object(self) -> CacheStats:
-        """The queryable counter snapshot (metrics registry, tests)."""
-        with self._lock:
-            entries = len(self._memory)
-        return CacheStats(self.frontend_compiles, self.hits, self.misses,
-                          self.disk_hits, self.evictions, entries)
-
     def stats(self) -> Dict[str, int]:
         """Counter snapshot as a plain dict (JSON reporting)."""
-        return self.stats_object().as_dict()
-
-    def __repr__(self) -> str:
-        with self._lock:
-            entries = len(self._memory)
-        return "FrontendCache(%d entries, %d hits, %d compiles)" % (
-            entries, self.hits, self.frontend_compiles)
+        return dict(frontend_compiles=self.misses, **self._counters())
 
 
 def _module_fingerprint(module: Module) -> str:
@@ -548,14 +501,18 @@ def _module_fingerprint(module: Module) -> str:
     return "\n".join(parts)
 
 
-class BackendCache:
+class BackendCache(_ArtifactStore):
     """Shares translated back-end modules across executions.
 
     ``compiled(module)`` returns a ready-to-run
     :class:`~repro.backend.pybackend.CompiledPythonModule` for the
     given (SSA or non-SSA) module, destructing and translating a
     private copy on first request.  Compiled modules hold no run state,
-    so the same instance is handed to every caller.
+    so the same instance is handed to every caller.  The key hashes the
+    printed IR plus the declarations the printer omits (scalar types,
+    parameter types, input defaults) — everything the code generator
+    consumes.  The disk layer stores the (destructed module, generated
+    source) pair and re-``exec``\\ s it on load.
 
     Keys include the engine's translation-scheme version
     (:data:`~repro.backend.pybackend.ENGINE_VERSION` for the threaded
@@ -566,24 +523,10 @@ class BackendCache:
     engines never collide on a key.
     """
 
-    def __init__(self, disk_dir: Optional[str] = None,
-                 max_entries: Optional[int] = None) -> None:
-        self.disk_dir = disk_dir
-        self.max_entries = max_entries if max_entries and max_entries > 0 \
-            else None
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
-        #: Cross-process fill-lock outcomes (see FrontendCache).
-        self.lock_waits = 0
-        self.lock_degraded = 0
-        #: Number of times the destruct+translate pass actually ran.
-        self.translations = 0
-        self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, object]" = OrderedDict()
-
-    # -- keys ----------------------------------------------------------
+    @property
+    def translations(self) -> int:
+        """Times the destruct+translate pass actually ran."""
+        return self.misses
 
     @staticmethod
     def key(module: Module, engine: str = "compiled",
@@ -606,63 +549,15 @@ class BackendCache:
             key = "%s-p%s" % (key, profile_fingerprint[:16])
         return key
 
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.disk_dir or "",
-                            "%s.pybackend.pickle" % key)
+    def _file_name(self, key: str) -> str:
+        return "%s.pybackend.pickle" % key
 
-    # -- the on-disk layer ---------------------------------------------
-
-    def _load_disk(self, key: str, engine: str = "compiled"):
-        if not self.disk_dir:
-            return None
-        from ..backend.pybackend import CompiledPythonModule
-        from ..backend.specialized import CompiledSpecializedModule
-
-        cls = CompiledSpecializedModule if engine == "specialized" \
-            else CompiledPythonModule
+    def _encode(self, compiled) -> Optional[bytes]:
         try:
-            faults.fire("diskcache.read")
-            with open(self._disk_path(key), "rb") as handle:
-                data = handle.read()
-            blob = _unseal_entry(faults.corrupt_bytes("diskcache.read",
-                                                      data))
-            if blob is None:
-                return None  # corrupt/truncated/legacy frame == miss
-            module, source = pickle.loads(blob)
-            if not isinstance(module, Module) or not isinstance(source, str):
-                return None
-            compiled = cls(module, source=source)
-        except _DISK_READ_ERRORS + (SyntaxError, TypeError):
-            return None  # corrupt/truncated/incompatible entry == miss
-        self.disk_hits += 1
-        return compiled
-
-    def _store_disk(self, key: str, compiled) -> None:
-        if not self.disk_dir:
-            return
-        try:
-            blob = pickle.dumps((compiled.module, compiled.source),
+            return pickle.dumps((compiled.module, compiled.source),
                                 _PICKLE_PROTOCOL)
-        except (pickle.PickleError, TypeError, AttributeError,
-                RecursionError):
-            return
-        path = self._disk_path(key)
-        tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
-        try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            faults.fire("diskcache.write")
-            data = faults.corrupt_bytes("diskcache.write",
-                                        _seal_entry(blob))
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except (OSError, faults.FaultError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    # -- the public API ------------------------------------------------
+        except _PICKLE_ERRORS:
+            return None
 
     def compiled(self, module: Module,
                  trace: Optional[PipelineTrace] = None,
@@ -679,111 +574,54 @@ class BackendCache:
         ``profile_fingerprint`` (for profile-guided modules) becomes
         part of the key so training runs never share artifacts.
         """
-        key = self.key(module, engine, profile_fingerprint)
-        with self._lock:
-            compiled = self._memory.get(key)
-            if compiled is not None:
-                self._memory.move_to_end(key)
-        if compiled is not None:
-            self.hits += 1
-            if trace is not None:
-                trace.record("backend", 0.0, cached=True)
-            return compiled
-        compiled = self._load_disk(key, engine)
-        if compiled is not None:
-            self._memory_put(key, compiled)
-            self.hits += 1
-            if trace is not None:
-                trace.record("backend", 0.0, cached=True)
-            return compiled
-        lock: Optional[_FillLock] = None
-        if self.disk_dir:
-            # Cross-process single-flight (see FrontendCache.frontend):
-            # one translation per cold key cluster-wide.
-            lock = _FillLock(self._disk_path(key) + ".lock")
-            if lock.acquire():
-                if lock.waited:
-                    self.lock_waits += 1
-                    compiled = self._load_disk(key, engine)
-                    if compiled is not None:
-                        lock.release()
-                        self._memory_put(key, compiled)
-                        self.hits += 1
-                        if trace is not None:
-                            trace.record("backend", 0.0, cached=True)
-                        return compiled
-            else:
-                self.lock_degraded += 1
-        try:
-            self.misses += 1
+
+        def build():
             start = time.perf_counter()
-            compiled = self._translate(module, engine)
-            self.translations += 1
+            compiled = translate(module, engine)
             if trace is not None:
                 trace.record("backend", time.perf_counter() - start,
                              size_after=module_size(compiled.module),
                              counters={"key": key})
-            self._memory_put(key, compiled)
-            self._store_disk(key, compiled)
-        finally:
-            if lock is not None:
-                lock.release()
+            return compiled
+
+        key = self.key(module, engine, profile_fingerprint)
+        compiled, fresh = self._lookup(
+            key, build, lambda blob: _decode_compiled(blob, engine))
+        if trace is not None and not fresh:
+            trace.record("backend", 0.0, cached=True)
         return compiled
 
-    @staticmethod
-    def _translate(module: Module, engine: str = "compiled"):
-        from ..backend.pybackend import compile_to_python
-        from ..backend.specialized import compile_to_specialized
-        from ..ssa.destruct import destruct_ssa
-
-        try:  # pickle round-trip clones this IR ~5x faster than deepcopy
-            clone = pickle.loads(pickle.dumps(module, _PICKLE_PROTOCOL))
-        except (pickle.PickleError, TypeError, AttributeError,
-                RecursionError):
-            clone = copy.deepcopy(module)
-        if engine == "specialized":
-            # Plans loops on the SSA form, then destructs in place.
-            return compile_to_specialized(clone)
-        for function in clone:
-            if any(block.phis() for block in function.blocks):
-                destruct_ssa(function)
-        return compile_to_python(clone)
-
-    def _memory_put(self, key: str, compiled) -> None:
-        with self._lock:
-            self._memory[key] = compiled
-            self._memory.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._memory) > self.max_entries:
-                    self._memory.popitem(last=False)
-                    self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop the in-memory layer (the disk layer is left alone)."""
-        with self._lock:
-            self._memory.clear()
-
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            entries = len(self._memory)
-        return {
-            "translations": self.translations,
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
-            "entries": entries,
-        }
-
-    def __repr__(self) -> str:
-        with self._lock:
-            entries = len(self._memory)
-        return "BackendCache(%d entries, %d hits, %d translations)" % (
-            entries, self.hits, self.translations)
+        return dict(translations=self.misses, **self._counters())
 
 
-_shared: Optional[FrontendCache] = None
+def _decode_compiled(blob: bytes, engine: str):
+    from ..backend.pybackend import CompiledPythonModule
+    from ..backend.specialized import CompiledSpecializedModule
+
+    module, source = pickle.loads(blob)
+    if not isinstance(module, Module) or not isinstance(source, str):
+        return None
+    cls = CompiledSpecializedModule if engine == "specialized" \
+        else CompiledPythonModule
+    return cls(module, source=source)
+
+
+_shared: Dict[type, _ArtifactStore] = {}
 _shared_lock = threading.Lock()
+
+
+def _shared_instance(cls, max_entries_env: str, default_max_entries: int):
+    with _shared_lock:
+        if cls not in _shared:
+            try:
+                max_entries = int(os.environ.get(max_entries_env,
+                                                 default_max_entries))
+            except ValueError:
+                max_entries = default_max_entries
+            _shared[cls] = cls(os.environ.get(CACHE_DIR_ENV) or None,
+                               max_entries=max_entries)
+        return _shared[cls]
 
 
 def shared_cache() -> FrontendCache:
@@ -792,30 +630,15 @@ def shared_cache() -> FrontendCache:
 
     Honors ``REPRO_CACHE_DIR`` for the optional on-disk layer and
     ``REPRO_CACHE_MAX_ENTRIES`` for an LRU bound on the in-memory
-    layer.
+    layer (unset or non-positive = unbounded).
     """
-    global _shared
-    with _shared_lock:
-        if _shared is None:
-            try:
-                max_entries: Optional[int] = int(
-                    os.environ.get(CACHE_MAX_ENTRIES_ENV, "0"))
-            except ValueError:
-                max_entries = None
-            _shared = FrontendCache(
-                os.environ.get(CACHE_DIR_ENV) or None,
-                max_entries=max_entries)
-        return _shared
+    return _shared_instance(FrontendCache, CACHE_MAX_ENTRIES_ENV, 0)
 
 
 def reset_shared_cache() -> None:
     """Forget the process-wide cache (tests, long-lived servers)."""
-    global _shared
     with _shared_lock:
-        _shared = None
-
-
-_shared_backend: Optional[BackendCache] = None
+        _shared.pop(FrontendCache, None)
 
 
 def shared_backend_cache() -> BackendCache:
@@ -828,23 +651,11 @@ def shared_backend_cache() -> BackendCache:
     unbounded is not offered — compiled modules pin exec'd code
     objects, so long-lived fuzz campaigns need the bound).
     """
-    global _shared_backend
-    with _shared_lock:
-        if _shared_backend is None:
-            try:
-                max_entries = int(os.environ.get(
-                    BACKEND_CACHE_MAX_ENTRIES_ENV,
-                    str(BACKEND_CACHE_DEFAULT_MAX_ENTRIES)))
-            except ValueError:
-                max_entries = BACKEND_CACHE_DEFAULT_MAX_ENTRIES
-            _shared_backend = BackendCache(
-                os.environ.get(CACHE_DIR_ENV) or None,
-                max_entries=max_entries)
-        return _shared_backend
+    return _shared_instance(BackendCache, BACKEND_CACHE_MAX_ENTRIES_ENV,
+                            BACKEND_CACHE_DEFAULT_MAX_ENTRIES)
 
 
 def reset_shared_backend_cache() -> None:
     """Forget the process-wide backend cache (tests, servers)."""
-    global _shared_backend
     with _shared_lock:
-        _shared_backend = None
+        _shared.pop(BackendCache, None)

@@ -11,9 +11,9 @@ interpreter run, keys are sorted on serialization, and the document
 carries a sha256 ``fingerprint`` of its canonical payload, so the same
 seed and program always produce a byte-identical file and any torn or
 hand-edited artifact is a clean :class:`~repro.errors.ProfileError`,
-never silently-wrong edge counts.  Writes go through the same
-pid+tid-temp + atomic-rename pattern as the disk cache, so concurrent
-``--jobs`` runners never publish a partial file.
+never silently-wrong edge counts.  Writes go through the artifact
+store's atomic publish (:func:`~repro.pipeline.cache.atomic_write`), so
+concurrent ``--jobs`` runners never publish a partial file.
 
 A profile is bound to the program and configuration it was trained
 under: ``source_sha256`` pins the source text, ``kind``/``implication``
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import InterpError, ProfileError
@@ -136,22 +134,11 @@ class EdgeProfile:
         Concurrent ``--jobs`` runners writing the same path each rename
         their own temp file; readers observe either nothing or one
         complete artifact, and the fingerprint turns any other torn
-        state into a clean load error.
+        state into a clean load error.  Raises ``OSError`` on failure.
         """
-        tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
-        try:
-            parent = os.path.dirname(path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(self.dumps())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        from .cache import atomic_write
+
+        atomic_write(path, self.dumps().encode("utf-8"))
 
     @classmethod
     def loads(cls, text: str, where: str = "<profile>") -> "EdgeProfile":

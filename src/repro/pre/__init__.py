@@ -1,13 +1,7 @@
-"""Partial redundancy elimination of arithmetic expressions (the PRE
-substrate of section 2.1, Knoop-Ruthing-Steffen lazy code motion)."""
+"""Redundancy elimination over arithmetic expressions: dominator-scoped
+global value numbering, run before the check optimizer under
+``value_number=True``."""
 
-from .cleanup import (cleanup_after_lcm, propagate_copies_locally,
-                      remove_dead_pure_code)
 from .gvn import global_value_numbering
-from .lcm import LazyCodeMotion, eliminate_partial_redundancies
-from .local import LocalProperties
 
-__all__ = ["LazyCodeMotion", "LocalProperties", "cleanup_after_lcm",
-           "eliminate_partial_redundancies", "global_value_numbering",
-           "propagate_copies_locally",
-           "remove_dead_pure_code"]
+__all__ = ["global_value_numbering"]

@@ -1,11 +1,8 @@
-"""Tests for the generic dataflow framework and classic analyses."""
+"""Tests for the shared block order of the dataflow passes."""
 
-from repro.analysis import (available_expressions, live_variables,
-                            reaching_definitions, reverse_postorder)
-from repro.analysis.availexpr import expr_key
-from repro.ir import BinOp
+from repro.analysis import reverse_postorder
 
-from ..conftest import lower, lower_ssa
+from ..conftest import lower_ssa
 
 
 class TestReversePostorder:
@@ -41,85 +38,3 @@ end program
                 # only back edges may violate the ordering; none here
                 raise AssertionError("acyclic CFG out of order")
 
-
-class TestLiveness:
-    def test_loop_variable_live_around_loop(self, loop_program):
-        main = lower(loop_program).main
-        result = live_variables(main)
-        header = next(b for b in main.blocks if b.name.startswith("do_head"))
-        assert "i" in result.in_facts[header]
-
-    def test_dead_after_last_use(self):
-        main = lower("""
-program p
-  integer :: a, b
-  a = 1
-  b = a + 1
-  print b
-end program
-""").main
-        result = live_variables(main)
-        # nothing is live at function exit
-        exit_block = [b for b in main.blocks if not b.successors()][0]
-        assert result.out_facts[exit_block] == frozenset()
-
-
-class TestReachingDefs:
-    def test_single_def_reaches_use(self):
-        main = lower("""
-program p
-  integer :: a
-  a = 1
-  print a
-end program
-""").main
-        result, problem = reaching_definitions(main)
-        exit_block = main.blocks[-1]
-        names = {name for name, _ in result.out_facts[main.entry]}
-        assert "a" in names
-
-    def test_redefinition_kills(self):
-        main = lower("""
-program p
-  integer :: a
-  a = 1
-  a = 2
-  print a
-end program
-""").main
-        result, problem = reaching_definitions(main)
-        facts = [site for name, site in result.out_facts[main.entry]
-                 if name == "a"]
-        assert len(facts) == 1
-
-
-class TestAvailableExpressions:
-    def test_expression_available_after_computation(self):
-        main = lower("""
-program p
-  input integer :: n = 3
-  integer :: a, b
-  a = n * 5
-  b = n * 5
-end program
-""").main
-        result = available_expressions(main)
-        keys = [expr_key(i) for i in main.instructions()
-                if isinstance(i, BinOp)]
-        assert keys[0] is not None
-
-    def test_kill_on_operand_redefinition(self):
-        main = lower("""
-program p
-  integer :: n, a
-  n = 1
-  a = n * 5
-  n = 2
-  a = n * 5
-end program
-""").main
-        result = available_expressions(main)
-        # at the exit of entry, n*5 was recomputed after the kill so it
-        # is available again; the analysis just must terminate and be
-        # consistent
-        assert result.out_facts[main.entry] is not None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checks import OptimizerOptions, Scheme
+from repro.checks import CheckKind, OptimizerOptions, Scheme
 
 from ..conftest import compile_and_run, run_baseline
 
@@ -155,3 +155,25 @@ class TestMCMOnSuite:
                              OptimizerOptions(scheme=Scheme.LLS),
                              base.dynamic_checks, program.test_inputs)
         assert lls.percent_eliminated > mcm.percent_eliminated + 5.0
+
+
+class TestMCMDeterminism:
+    def test_one_module_per_program_within_a_process(self):
+        """Hoist order must not follow heap addresses.  Loop blocks
+        live in an identity-hashed set, so iterating it made MCM's
+        output vary between compiles of one program in one process;
+        allocating between compiles moves the blocks' addresses."""
+        from repro.fuzz.generator import GeneratorConfig, generate_program
+        from repro.ir.printer import format_module
+        from repro.pipeline import compile_source
+
+        source = generate_program(2, GeneratorConfig())
+        printed = set()
+        ballast = []
+        for round_ in range(16):
+            ballast.append([object() for _ in range(37 * round_)])
+            for kind in (CheckKind.PRX, CheckKind.INX):
+                program = compile_source(source, OptimizerOptions(
+                    scheme=Scheme.MCM, kind=kind))
+                printed.add((kind, format_module(program.module)))
+        assert len(printed) == 2

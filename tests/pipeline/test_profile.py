@@ -54,6 +54,14 @@ class TestDeterminism:
         # no temp files left behind by the atomic-rename protocol
         assert [p.name for p in tmp_path.iterdir()] == ["edges.json"]
 
+    def test_failed_write_raises_and_leaves_no_temp(self, tmp_path):
+        # unlike a cache entry, a user-named profile must not fail
+        # silently; a directory squatting on the path fails the rename
+        (tmp_path / "edges.json").mkdir()
+        with pytest.raises(OSError):
+            _trained().write(str(tmp_path / "edges.json"))
+        assert [p.name for p in tmp_path.iterdir()] == ["edges.json"]
+
     def test_roundtrip_preserves_weights(self):
         profile = _trained()
         back = EdgeProfile.loads(profile.dumps())

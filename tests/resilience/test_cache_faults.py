@@ -65,7 +65,7 @@ class TestSealedEntryFormat:
         # an entry written by an older version (raw pickle, no frame)
         # must be recompiled, not unpickled blind
         cache = FrontendCache(disk_dir=str(tmp_path))
-        path = cache._disk_path(cache.key(SOURCE))
+        path = cache._path(cache.key(SOURCE))
         os.makedirs(str(tmp_path), exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(b"\x80\x04raw legacy pickle bytes")
@@ -129,7 +129,7 @@ class TestFrontendCacheReadFaults:
         # corrupt the actual file, not just the read path
         cache = FrontendCache(disk_dir=str(tmp_path))
         frontend_ir(cache)
-        path = cache._disk_path(cache.key(SOURCE))
+        path = cache._path(cache.key(SOURCE))
         data = open(path, "rb").read()
         with open(path, "wb") as handle:
             handle.write(data[:len(data) // 2])

@@ -3,10 +3,12 @@ produce its documented degraded behavior (a bounded error status,
 never a hang or a wrong result), and a fault-free replay of the same
 request must return a body identical to an undisturbed run.
 
-Bodies are compared through :func:`canonical`, which nulls the two
-volatile fields (``phases`` wall-clock timings and ``frontend_cached``
-cache state) — everything semantic (output, counters, traps, engine)
-must match byte-for-byte.  See docs/RESILIENCE.md.
+Bodies are compared through :func:`canonical`, which drops the
+volatile fields (``phases`` wall-clock timings and the
+``frontend_cached`` / ``backend_cached`` cache state) — everything
+semantic (output, counters, traps, engine) must match byte-for-byte.
+Tests that care about cache state assert it explicitly.  See
+docs/RESILIENCE.md.
 """
 
 import json
@@ -46,7 +48,7 @@ def program(name, bound=8):
 def canonical(doc):
     """Response body with volatile metadata nulled, as canonical bytes."""
     doc = dict(doc)
-    for volatile in ("phases", "frontend_cached"):
+    for volatile in ("phases", "frontend_cached", "backend_cached"):
         doc.pop(volatile, None)
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
@@ -278,9 +280,13 @@ class TestProcessPoolKill:
             assert doc["engine"] == "compiled"
             assert doc["output"] == [3.5]
             assert svc.pool.restarts == 3
+            # the replacement worker starts with empty caches
+            assert doc["backend_cached"] is False
 
-            # fault-free replay matches a fresh fault-free execution
+            # fault-free replay matches a fresh fault-free execution;
+            # the pool's one warm worker serves it from its cache
             _, again = client.post_json("/compile", compiled)
+            assert again["backend_cached"] is True
             assert canonical(doc) == canonical(again)
         finally:
             if not svc._stopped.is_set():

@@ -17,7 +17,6 @@ FAST_EXAMPLES = [
     "figure1_strengthening.py",
     "figure6_preheader.py",
     "build_ir_directly.py",
-    "expression_pre.py",
     "explain_and_backend.py",
 ]
 
