@@ -14,12 +14,12 @@ import pytest
 from repro.benchsuite import all_programs
 from repro.checks import (CheckKind, ImplicationMode, OptimizerOptions,
                           Scheme, optimize_module)
-from repro.pipeline.stats import build_unoptimized
+from repro.pipeline import compile_source
 
 
 def optimize_suite(options):
     for program in all_programs():
-        module = build_unoptimized(program.source)
+        module = compile_source(program.source, optimize=False).module
         optimize_module(module, options)
 
 
@@ -52,6 +52,6 @@ def test_frontend_suite(benchmark):
     baseline outside the range-check phase)."""
     def frontend():
         for program in all_programs():
-            build_unoptimized(program.source)
+            compile_source(program.source, optimize=False)
 
     benchmark(frontend)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import LoopForest, compute_affine_forms
 from repro.induction import InductionAnalysis, IndKind, find_loop_iv
-from repro.pipeline.stats import build_unoptimized
+from repro.pipeline import compile_source
 from repro.reporting import (all_figures, figure1_availability,
                              figure1_strengthening, figure5_safe_earliest,
                              figure6_preheader)
@@ -54,8 +54,7 @@ end program
 @pytest.mark.benchmark(group="figures")
 def test_figure2(benchmark, results_dir):
     def analyze():
-        module = build_unoptimized(FIGURE2_SOURCE)
-        main = module.main
+        main = compile_source(FIGURE2_SOURCE, optimize=False).module.main
         forest = LoopForest(main)
         env = compute_affine_forms(main)
         analysis = InductionAnalysis(main, forest, env)

@@ -275,6 +275,7 @@ def run_bench(programs: Optional[Iterable[BenchmarkProgram]] = None,
     field names refer to the direct-threaded engine.
     """
     from ..pipeline.driver import compile_source
+    from ..pipeline.profile import with_profile
 
     if backend_cache is None:
         from ..pipeline.cache import shared_backend_cache
@@ -285,15 +286,8 @@ def run_bench(programs: Optional[Iterable[BenchmarkProgram]] = None,
     result = BenchResult(options.label(), small, repeats, tuple(engines))
     for program in programs or all_programs():
         inputs = program.test_inputs if small else program.inputs
-        program_options = options
-        if (options.scheme is Scheme.LO and options.profile is None
-                and profile_mode == "auto"):
-            from ..pipeline.profile import train_profile
-
-            program_options = OptimizerOptions(
-                options.scheme, options.kind, options.implication,
-                profile=train_profile(program.source, options, inputs,
-                                      max_steps=max_steps, cache=cache))
+        program_options = with_profile(options, program.source, inputs,
+                                       profile_mode, max_steps, cache)
         compiled = compile_source(program.source, program_options,
                                   cache=cache)
         row = BenchProgramResult(program.name)

@@ -89,6 +89,7 @@ def fold_compile_time(function: Function) -> Tuple[int, List[str]]:
     Returns ``(number deleted, messages for always-false checks)``.
     Always-false checks become :class:`Trap` instructions, reported to
     the "programmer" via the returned messages (the paper's step 5).
+    Checks that stay lose their compile-time-true guards.
     """
     removed = 0
     reports: List[str] = []
@@ -97,10 +98,13 @@ def fold_compile_time(function: Function) -> Tuple[int, List[str]]:
             inst = block.instructions[index]
             if not isinstance(inst, Check):
                 continue
-            verdict = _evaluate(inst)
+            verdict = compile_time_verdict(inst)
             if verdict is None:
-                continue
-            if verdict:
+                kept = [guard for guard in inst.guards
+                        if not guard.linexpr.is_constant()]
+                if len(kept) != len(inst.guards):
+                    inst.guards = kept
+            elif verdict:
                 block.remove(inst)
                 removed += 1
             else:
@@ -113,28 +117,26 @@ def fold_compile_time(function: Function) -> Tuple[int, List[str]]:
     return removed, reports
 
 
-def _evaluate(check: Check) -> Optional[bool]:
-    """The compile-time verdict of a check, if it has one.
+def compile_time_verdict(check: Check) -> Optional[bool]:
+    """What step 5 does with a check: ``True`` deletes it, ``False``
+    turns it into a trap, ``None`` keeps it.
 
     Guards participate: a compile-time-false guard makes the whole
-    Cond-check vacuously true (deletable); compile-time-true guards are
-    dropped.  A symbolic guard blocks evaluation even when the body is
-    constant-false, because the check may legitimately never run.
+    Cond-check vacuously true (deletable); compile-time-true guards do
+    not matter.  A symbolic guard blocks evaluation even when the body
+    is constant-false, because the check may legitimately never run.
     """
-    kept_guards = []
+    symbolic_guard = False
     for guard in check.guards:
-        if guard.linexpr.is_constant():
-            if guard.linexpr.const > guard.bound:
-                return True  # guard statically false: check never performed
-            continue  # statically true: redundant guard
-        kept_guards.append(guard)
-    if len(kept_guards) != len(check.guards):
-        check.guards = kept_guards
+        if not guard.linexpr.is_constant():
+            symbolic_guard = True
+        elif guard.linexpr.const > guard.bound:
+            return True  # guard statically false: check never performed
     body = CanonicalCheck.of(check)
     if not body.is_compile_time():
         return None
     if body.evaluate_compile_time():
         return True
-    if kept_guards:
+    if symbolic_guard:
         return None  # would trap, but only if the guards hold at run time
     return False

@@ -88,6 +88,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..ir.basicblock import BasicBlock
 from .canonical import CanonicalCheck
 from .dataflow import CheckAnalysis, EdgeGen
+from .eliminate import compile_time_verdict
 from .lcm import Edge, LaterSystem, _filter_strongest, latest_insertions
 
 #: Effectively-infinite capacity; every real capacity is a profile
@@ -309,31 +310,14 @@ def _placement_cost(analysis: CheckAnalysis,
             continue
         for _, check, facts in analysis.facts_before_checks(
                 block, avin[block]):
-            if _folds_away(check):
+            # step 5 deletes it or turns it into a trap: either way
+            # it executes no check at run time
+            if compile_time_verdict(check) is not None:
                 continue
             check_id = universe.id_of(CanonicalCheck.of(check))
             if check_id is None or check_id not in facts:
                 surviving_cost += count
     return inserted_cost + surviving_cost
-
-
-def _folds_away(check) -> bool:
-    """Whether step 5 (compile-time folding) deletes this check, so it
-    costs nothing at run time.  A read-only mirror of
-    :func:`repro.checks.eliminate._evaluate`'s ``True`` verdict: a
-    statically-false guard or a constant, true body (the false-body
-    case becomes a trap, which executes no check either)."""
-    symbolic_guard = False
-    for guard in check.guards:
-        if guard.linexpr.is_constant():
-            if guard.linexpr.const > guard.bound:
-                return True
-        else:
-            symbolic_guard = True
-    body = CanonicalCheck.of(check)
-    if not body.is_compile_time():
-        return False
-    return body.evaluate_compile_time() or not symbolic_guard
 
 
 def _place_fact(fact: int, later: LaterSystem,

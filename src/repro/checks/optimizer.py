@@ -2,8 +2,10 @@
 
 1. Construct the check implication graph (families + weighted edges).
 2. Compute safe insertion points (anticipatability).
-3. Insert checks per the chosen placement scheme
-   (NI / CS / LNI / SE / LI / LLS / ALL).
+3. Insert checks per the chosen placement scheme: each scheme is a row
+   of ``RangeCheckOptimizer.SCHEME_STEPS``, an ordered list of steps
+   (the paper's NI / CS / LNI / SE / LI / LLS / ALL plus the MCM, VR,
+   SPEC and LO extensions).
 4. Compute available checks and eliminate redundant checks.
 5. Eliminate (or trap) compile-time checks.
 
@@ -15,7 +17,7 @@ expressions (INX) first, and the implication machinery can be ablated
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.affine import AffineEnv, compute_affine_forms
 from ..analysis.dominance import DominatorTree
@@ -33,8 +35,12 @@ from .family import universe_from_function
 from .inx import rewrite_checks_to_inx
 from .lcm import (apply_insertions, latest_insertions,
                   safe_earliest_insertions)
+from .lospre import lospre_insertions
+from .markstein import MarksteinInserter
 from .preheader import PreheaderInserter
+from .spec import SpeculativeVersioner
 from .strengthen import strengthen_checks
+from .valuerange import eliminate_by_value_range
 
 
 class OptimizeStats:
@@ -85,7 +91,13 @@ def count_checks(function: Function) -> int:
 
 
 class RangeCheckOptimizer:
-    """Optimizes one SSA-form function under one configuration."""
+    """Optimizes one SSA-form function under one configuration.
+
+    Step 3 is data: :attr:`SCHEME_STEPS` lists each scheme's insertion
+    steps in order (the INX rewrite goes first under ``CheckKind.INX``),
+    the analyses are recomputed before every step, and steps 4 and 5
+    then run for every scheme.
+    """
 
     def __init__(self, function: Function, options: OptimizerOptions) -> None:
         self.function = function
@@ -119,63 +131,24 @@ class RangeCheckOptimizer:
         function = self.function
         options = self.options
         self.stats.checks_before = count_checks(function)
-        self._refresh_analyses()
-
+        steps = self.SCHEME_STEPS[options.scheme]
         if options.kind is CheckKind.INX:
-            materializer = BasicVarMaterializer(function, self._forest)
-            self.stats.inx_rewritten = rewrite_checks_to_inx(
-                function, self._induction, self._env, materializer)
+            steps = (RangeCheckOptimizer.inx,) + steps
+        for step in steps:
             self._refresh_analyses()
+            step(self)
+        # VR is the abstract-interpretation baseline: compile-time
+        # elimination only, no check dataflow
+        if options.scheme is not Scheme.VR:
+            self._eliminate()
+        folded, reports = fold_compile_time(function)
+        self.stats.compile_time = folded
+        self.stats.trap_reports.extend(reports)
+        self.stats.checks_after = count_checks(function)
+        verify_function(function)
+        return self.stats
 
-        scheme = options.scheme
-        if scheme is Scheme.VR:
-            # the abstract-interpretation baseline: compile-time
-            # elimination only, no check dataflow, no insertion
-            from .valuerange import eliminate_by_value_range
-
-            removed, reports = eliminate_by_value_range(function)
-            self.stats.eliminated = removed
-            folded, fold_reports = fold_compile_time(function)
-            self.stats.compile_time = folded
-            self.stats.trap_reports = reports + fold_reports
-            self.stats.checks_after = count_checks(function)
-            verify_function(function)
-            return self.stats
-        if scheme is Scheme.CS:
-            self.stats.strengthened = strengthen_checks(self._make_analysis())
-        elif scheme is Scheme.SE:
-            self._run_lcm(earliest=True)
-        elif scheme is Scheme.LNI:
-            self._run_lcm(earliest=False)
-        elif scheme is Scheme.LI:
-            self._run_preheader(substitute_linear=False)
-        elif scheme is Scheme.LLS:
-            self._run_preheader(substitute_linear=True)
-        elif scheme is Scheme.ALL:
-            self._run_preheader(substitute_linear=True)
-            self._refresh_analyses()
-            self._run_lcm(earliest=True)
-        elif scheme is Scheme.LO:
-            # lospre: LLS preheader machinery, then profile-guided
-            # min-cut placement over the LATER region instead of LCM's
-            # unconditional latest edges.  With no profile the pass
-            # degrades to the latest placement verbatim.
-            self._run_preheader(substitute_linear=True)
-            self._refresh_analyses()
-            self._run_lospre()
-        elif scheme is Scheme.SPEC:
-            # speculative loop versioning first, then LLS placement for
-            # every family the envelope guard could not cover (the
-            # degradation path).  The preheader inserter skips the
-            # checked slow-path clones so they stay NI-exact.
-            self._run_spec()
-            self._refresh_analyses()
-            self._run_preheader(substitute_linear=True)
-        elif scheme is Scheme.MCM:
-            self._run_markstein()
-        # Scheme.NI: no insertion
-
-        analysis = self._make_analysis()
+    def _eliminate(self) -> None:
         # The semantic tier only runs on interprocedural (+inl)
         # configurations: that is what it exists for (argument-carried
         # symbolic bounds), and keeping it off elsewhere preserves the
@@ -184,40 +157,48 @@ class RangeCheckOptimizer:
         # -2n <= -5 entails -2n <= -6 for integer n).  It also rides
         # the implication switch: the primed ablations (NI'/SE') must
         # not quietly regain implications through the prover.
-        prove = (getattr(options, "inline", False)
-                 and options.implication is not ImplicationMode.NONE)
-        removed, proved = eliminate_redundant(analysis, self.edge_gen,
-                                              prove=prove)
+        prove = (self.options.inline
+                 and self.options.implication is not ImplicationMode.NONE)
+        removed, proved = eliminate_redundant(self._make_analysis(),
+                                              self.edge_gen, prove=prove)
         self.stats.eliminated = removed + proved
         self.stats.proved = proved
-        folded, reports = fold_compile_time(function)
-        self.stats.compile_time = folded
-        self.stats.trap_reports = reports
-        self.stats.checks_after = count_checks(function)
-        verify_function(function)
-        return self.stats
 
-    def _run_lcm(self, earliest: bool) -> None:
-        analysis = self._make_analysis()
-        if earliest:
-            insertions = safe_earliest_insertions(analysis, self.edge_gen)
-        else:
-            insertions = latest_insertions(analysis, self.edge_gen)
-        self.stats.inserted += apply_insertions(analysis, self._env,
-                                                insertions)
+    # -- steps ---------------------------------------------------------------
 
-    def _run_preheader(self, substitute_linear: bool) -> None:
-        analysis = self._make_analysis()
-        inserter = PreheaderInserter(analysis, self._env, self._forest,
-                                     self._induction, self.store)
-        inserter.run(substitute_linear)
-        self.stats.inserted += inserter.inserted
-        for edge, checks in inserter.edge_gen.items():
-            self.edge_gen.setdefault(edge, []).extend(checks)
+    def inx(self) -> None:
+        """Rewrite checks to induction expressions (INX-checks)."""
+        materializer = BasicVarMaterializer(self.function, self._forest)
+        self.stats.inx_rewritten = rewrite_checks_to_inx(
+            self.function, self._induction, self._env, materializer)
 
-    def _run_lospre(self) -> None:
-        from .lospre import lospre_insertions
+    def strengthen(self) -> None:
+        """CS: strengthen checks in place (Gupta)."""
+        self.stats.strengthened = strengthen_checks(self._make_analysis())
 
+    def earliest(self) -> None:
+        """SE: insert at the safe-earliest points."""
+        self._place(safe_earliest_insertions)
+
+    def latest(self) -> None:
+        """LNI: insert at the latest-not-isolated points."""
+        self._place(latest_insertions)
+
+    def hoist_invariant(self) -> None:
+        """LI: hoist loop-invariant checks to preheaders."""
+        self._hoist(PreheaderInserter, substitute_linear=False)
+
+    def hoist_linear(self) -> None:
+        """LLS: preheader insertion with loop-limit substitution."""
+        self._hoist(PreheaderInserter, substitute_linear=True)
+
+    def markstein(self) -> None:
+        """MCM: preheader insertion from articulation nodes only."""
+        self._hoist(MarksteinInserter, substitute_linear=True)
+
+    def lospre(self) -> None:
+        """LO: profile-guided min cut over LCM's LATER region.  With no
+        profile it degrades to the latest placement verbatim."""
         analysis = self._make_analysis()
         insertions, cuts = lospre_insertions(analysis, self.edge_gen,
                                              self.options.profile)
@@ -225,24 +206,53 @@ class RangeCheckOptimizer:
         self.stats.inserted += apply_insertions(analysis, self._env,
                                                 insertions)
 
-    def _run_spec(self) -> None:
-        from .spec import SpeculativeVersioner
-
+    def spec(self) -> None:
+        """SPEC: version loops behind a convex-hull envelope guard.  The
+        preheader inserter later skips the checked slow-path clones, so
+        they stay NI-exact."""
         versioner = SpeculativeVersioner(self.function, self._env,
                                          self._forest, self._induction)
         versioner.run()
         self.stats.speculated += versioner.versioned
 
-    def _run_markstein(self) -> None:
-        from .markstein import MarksteinInserter
+    def value_range(self) -> None:
+        """VR: delete or trap checks an interval analysis decides."""
+        removed, reports = eliminate_by_value_range(self.function)
+        self.stats.eliminated = removed
+        self.stats.trap_reports.extend(reports)
 
+    def _place(self, placement) -> None:
         analysis = self._make_analysis()
-        inserter = MarksteinInserter(analysis, self._env, self._forest,
-                                     self._induction, self.store)
-        inserter.run()
+        insertions = placement(analysis, self.edge_gen)
+        self.stats.inserted += apply_insertions(analysis, self._env,
+                                                insertions)
+
+    def _hoist(self, inserter_class, substitute_linear: bool) -> None:
+        inserter = inserter_class(self._make_analysis(), self._env,
+                                  self._forest, self._induction, self.store)
+        inserter.run(substitute_linear)
         self.stats.inserted += inserter.inserted
         for edge, checks in inserter.edge_gen.items():
             self.edge_gen.setdefault(edge, []).extend(checks)
+
+    #: Each scheme's insertion steps, in order (step 3 of the paper).
+    #: The paper's ALL is "LLS followed by SE"; the extensions follow
+    #: the same pattern: LO is the LLS hoist followed by a lospre min
+    #: cut, and SPEC versions loops before the LLS hoist covers what
+    #: its guard could not.
+    SCHEME_STEPS: Dict[Scheme, Tuple[Callable, ...]] = {
+        Scheme.NI: (),
+        Scheme.CS: (strengthen,),
+        Scheme.LNI: (latest,),
+        Scheme.SE: (earliest,),
+        Scheme.LI: (hoist_invariant,),
+        Scheme.LLS: (hoist_linear,),
+        Scheme.ALL: (hoist_linear, earliest),
+        Scheme.MCM: (markstein,),
+        Scheme.VR: (value_range,),
+        Scheme.SPEC: (spec, hoist_linear),
+        Scheme.LO: (hoist_linear, lospre),
+    }
 
 
 def optimize_function(function: Function,

@@ -38,7 +38,7 @@ from .checks.config import CheckKind, ImplicationMode, OptimizerOptions, Scheme
 from .errors import RangeTrap, ReproError
 from .ir.printer import format_module
 from .pipeline.driver import compile_source
-from .pipeline.stats import measure_baseline, measure_scheme
+from .pipeline.stats import measure_baseline
 
 EXIT_OK = 0
 EXIT_TRAP = 1
@@ -103,23 +103,13 @@ def _profile_options(command: str, spec: str, source: str,
     (ProfileError is a ReproError, which ``main`` maps to exit 2; the
     fingerprint/source validation itself runs inside compile_source).
     """
-    if not spec or spec == "off":
-        return options
-    if options.scheme is not Scheme.LO:
+    from .pipeline.profile import with_profile
+
+    if spec and spec != "off" and options.scheme is not Scheme.LO:
         raise _usage_exit("%s: --profile requires --scheme LO (the "
                           "profile-guided scheme); got %s"
                           % (command, options.scheme.name))
-    if spec == "auto":
-        from .pipeline.profile import train_profile
-
-        profile = train_profile(source, options, inputs)
-    else:
-        from .pipeline.profile import EdgeProfile
-
-        profile = EdgeProfile.load(spec)
-    return OptimizerOptions(options.scheme, options.kind,
-                            options.implication, profile=profile,
-                            inline=options.inline)
+    return with_profile(options, source, inputs, spec)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -245,7 +235,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     with open(args.file) as handle:
         source = handle.read()
     inputs = _parse_inputs(args.input)
-    report = explain_optimization(source, _options(args), inputs)
+    report = explain_optimization(source, _options(args), inputs,
+                                  rotate_loops=args.rotate_loops,
+                                  verify_ir=args.verify_ir)
     print(report.render())
     return 0
 

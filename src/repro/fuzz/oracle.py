@@ -272,14 +272,11 @@ class Oracle:
     def _check_trained_lo(self, source: str, seed, inputs,
                           cache: FrontendCache, baseline: _RunResult,
                           kind: CheckKind) -> Optional[FuzzFailure]:
-        from ..pipeline.profile import train_profile
+        from ..pipeline.profile import with_profile
 
-        lo_options = OptimizerOptions(scheme=Scheme.LO, kind=kind)
-        label = lo_options.label() + "+profile"
-        profile = train_profile(source, lo_options, inputs,
-                                max_steps=self.max_steps, cache=cache)
-        trained = OptimizerOptions(scheme=Scheme.LO, kind=kind,
-                                   profile=profile)
+        trained = with_profile(OptimizerOptions(scheme=Scheme.LO, kind=kind),
+                               source, inputs, "auto", self.max_steps, cache)
+        label = trained.label() + "+profile"
         try:
             program = compile_source(source, trained, cache=cache,
                                      verify_ir=True)

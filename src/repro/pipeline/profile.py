@@ -4,7 +4,8 @@
 collected by the interpreter into a small JSON document; ``--profile``
 feeds it back into the check optimizer, where
 :mod:`repro.checks.lospre` uses the counts as the cost function of its
-min-cut placement (``Scheme.LO``).
+min-cut placement (``Scheme.LO``).  Every caller that compiles under LO
+attaches its profile through :func:`with_profile`.
 
 The artifact is **seeded-stable**: counts come from a deterministic
 interpreter run, keys are sorted on serialization, and the document
@@ -263,3 +264,35 @@ def train_profile(source: str, options=None,
                                  kind=options.kind.value,
                                  implication=options.implication.value,
                                  scheme=Scheme.LLS.value)
+
+
+def with_profile(options, source: str,
+                 inputs: Optional[Mapping[str, Number]] = None,
+                 spec: Union[str, dict, None] = "auto",
+                 max_steps: int = 50_000_000,
+                 cache=None):
+    """``options`` with the edge profile ``Scheme.LO`` places by.
+
+    ``spec`` is ``"auto"`` (train one now with :func:`train_profile`
+    on ``inputs``), ``"off"``, a path to a serialized artifact, or a
+    profile document (a dict, as the compile service receives it).
+    Options for another scheme, options that already carry a profile,
+    and ``"off"`` come back unchanged.  Otherwise the result is a copy
+    (every axis kept, ``inline`` too): one options object is often
+    shared across programs, and a profile belongs to one program.
+    """
+    from ..checks.config import OptimizerOptions, Scheme
+
+    if (options.scheme is not Scheme.LO or options.profile is not None
+            or spec in (None, "", "off")):
+        return options
+    if spec == "auto":
+        profile = train_profile(source, options, inputs,
+                                max_steps=max_steps, cache=cache)
+    elif isinstance(spec, dict):
+        profile = EdgeProfile.loads(json.dumps(spec))
+    else:
+        profile = EdgeProfile.load(spec)
+    return OptimizerOptions(options.scheme, options.kind,
+                            options.implication, profile=profile,
+                            inline=options.inline)

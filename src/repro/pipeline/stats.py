@@ -6,6 +6,9 @@ configuration eliminates, plus the compile time spent in the range
 check optimizer.  These helpers compile and execute one program under
 one configuration and collect exactly those numbers.
 
+They compile through :func:`~repro.pipeline.driver.compile_source` and
+run the back-end engines through
+:func:`~repro.pipeline.driver.translate`, like every other caller.
 Both measurement entry points accept an optional
 :class:`~repro.pipeline.cache.FrontendCache`; when given, the
 parse+lower+SSA prefix is shared (one compile per program) and each
@@ -19,13 +22,13 @@ import time
 from typing import Dict, Mapping, Optional, Union
 
 from ..analysis.loops import LoopForest
-from ..checks.config import OptimizerOptions, Scheme
-from ..checks.optimizer import count_checks, optimize_module
-from ..interp.machine import Machine
+from ..checks.config import OptimizerOptions
+from ..checks.optimizer import count_checks
 from ..ir.function import Module
 from ..ir.instructions import Check
 from .cache import FrontendCache
-from .driver import run_frontend
+from .driver import CompiledProgram, compile_source, translate
+from .profile import with_profile
 from .trace import PipelineTrace
 
 Number = Union[int, float]
@@ -90,22 +93,6 @@ class SchemeMeasurement:
             self.name, self.label, self.percent_eliminated)
 
 
-def build_unoptimized(source: str,
-                      cache: Optional[FrontendCache] = None,
-                      trace: Optional[PipelineTrace] = None,
-                      inline: bool = False) -> Module:
-    """Parse, lower with naive checks, and convert to SSA.
-
-    With a ``cache``, this is a deep copy of the shared frontend
-    module rather than a fresh frontend run.  ``inline=True`` clones
-    eligible subroutine bodies into callers first (a distinct cache
-    key: inlined and non-inlined frontends never alias).
-    """
-    if cache is not None:
-        return cache.frontend(source, trace=trace, inline=inline)
-    return run_frontend(source, trace=trace, inline=inline)
-
-
 def count_static(module: Module):
     """(non-check instruction cost, checks, natural loops) in a module.
 
@@ -130,33 +117,17 @@ def count_static(module: Module):
     return instructions, checks, loops
 
 
-def _execute(module: Module, inputs: Optional[Mapping[str, Number]],
-             max_steps: int, engine: str):
-    """Run via the interpreter or the Python back-end; returns counters
-    and output uniformly.  The compiled engine destructs SSA in place,
-    so it consumes ``module`` — callers hand over a private copy."""
+def _run_engine(program: CompiledProgram,
+             inputs: Optional[Mapping[str, Number]], max_steps: int,
+             engine: str):
+    """Run via the interpreter or a back-end engine; returns the
+    machine or runtime (``.counters``, ``.output``)."""
     if engine == "interp":
-        machine = Machine(module, inputs, max_steps)
-        machine.run()
-        return machine.counters, machine.output
-    if engine == "compiled":
-        from ..backend.pybackend import compile_to_python
-        from ..ssa.destruct import destruct_ssa
-
-        for function in module:
-            if any(block.phis() for block in function.blocks):
-                destruct_ssa(function)
-        runtime = compile_to_python(module).run(inputs,
-                                                max_steps=max_steps)
-        return runtime.counters, runtime.output
-    if engine == "specialized":
-        from ..backend.specialized import compile_to_specialized
-
-        # Plans loops on the SSA form, then destructs in place.
-        runtime = compile_to_specialized(module).run(inputs,
-                                                     max_steps=max_steps)
-        return runtime.counters, runtime.output
-    raise ValueError("unknown engine %r" % engine)
+        return program.run(inputs, max_steps)
+    if engine not in ("compiled", "specialized"):
+        raise ValueError("unknown engine %r" % engine)
+    return translate(program.module, engine).run(inputs,
+                                                 max_steps=max_steps)
 
 
 def measure_baseline(name: str, source: str,
@@ -168,14 +139,16 @@ def measure_baseline(name: str, source: str,
     """Compile without optimization, run, and fill a Table 1 row."""
     row = BaselineMeasurement(name)
     row.lines = sum(1 for line in source.splitlines() if line.strip())
-    module = build_unoptimized(source, cache, row.trace)
+    program = compile_source(source, optimize=False, trace=row.trace,
+                             cache=cache)
+    module = program.module
     row.subroutines = sum(1 for f in module if not f.is_main)
     instructions, checks, loops = count_static(module)
     row.static_instructions = instructions
     row.static_checks = checks
     row.loops = loops
     with row.trace.timed("execute") as event:
-        counters, _ = _execute(module, inputs, max_steps, engine)
+        counters = _run_engine(program, inputs, max_steps, engine).counters
         event.counters = {"engine": engine}
     row.dynamic_instructions = counters.instructions
     row.dynamic_checks = counters.checks
@@ -192,42 +165,33 @@ def measure_scheme(name: str, source: str, options: OptimizerOptions,
     """Compile under ``options``, run, and fill a Table 2/3 cell.
 
     The profile-guided ``LO`` scheme self-trains by default
-    (``profile_mode="auto"``): with no profile attached to
-    ``options``, a training run under LLS on the same inputs collects
-    edge counts first — recorded as a ``train-profile`` trace event
-    and excluded from the optimize/compile timings so scheme compile
-    times stay comparable.  ``profile_mode="off"`` skips training, so
-    LO degrades to its uniform-cost (LCM-latest) placement.
+    (``profile_mode="auto"``, see
+    :func:`~repro.pipeline.profile.with_profile`): with no profile
+    attached to ``options``, a training run under LLS on the same
+    inputs collects edge counts first — recorded as a ``train-profile``
+    trace event and excluded from the optimize/compile timings so
+    scheme compile times stay comparable.  ``profile_mode="off"`` skips
+    training, so LO degrades to its uniform-cost (LCM-latest)
+    placement.
     """
     cell = SchemeMeasurement(name, options.label())
     cell.baseline_checks = baseline_checks
 
-    if (options.scheme is Scheme.LO and options.profile is None
-            and profile_mode == "auto"):
-        from .profile import train_profile
-
-        with cell.trace.timed("train-profile"):
-            profile = train_profile(source, options, inputs,
-                                    max_steps=max_steps, cache=cache)
-        # a private copy: the caller often shares one options object
-        # across programs, and a training profile is per-program
-        options = OptimizerOptions(options.scheme, options.kind,
-                                   options.implication, profile=profile,
-                                   inline=options.inline)
+    train_start = time.perf_counter()
+    trained = with_profile(options, source, inputs, profile_mode,
+                           max_steps, cache)
+    if trained is not options:
+        cell.trace.record("train-profile",
+                          time.perf_counter() - train_start)
 
     compile_start = time.perf_counter()
-    module = build_unoptimized(source, cache, cell.trace,
-                               inline=getattr(options, "inline", False))
-    optimize_start = time.perf_counter()
-    with cell.trace.timed("check-optimize") as event:
-        optimize_module(module, options)
-    optimize_end = time.perf_counter()
-
-    cell.optimize_seconds = optimize_end - optimize_start
-    cell.compile_seconds = optimize_end - compile_start
-    cell.static_checks = sum(count_checks(f) for f in module)
+    program = compile_source(source, trained, trace=cell.trace,
+                             cache=cache)
+    cell.compile_seconds = time.perf_counter() - compile_start
+    cell.optimize_seconds = cell.trace.seconds("check-optimize")
+    cell.static_checks = sum(count_checks(f) for f in program.module)
     with cell.trace.timed("execute") as exec_event:
-        counters, _ = _execute(module, inputs, max_steps, engine)
+        counters = _run_engine(program, inputs, max_steps, engine).counters
         exec_event.counters = {"engine": engine}
     cell.dynamic_checks = counters.checks
     return cell
@@ -237,15 +201,9 @@ def verify_same_output(source: str, options: OptimizerOptions,
                        inputs: Optional[Mapping[str, Number]] = None,
                        max_steps: int = 50_000_000) -> bool:
     """True when the optimized program prints what the baseline prints."""
-    baseline_module = build_unoptimized(source)
-    baseline = Machine(baseline_module, inputs, max_steps)
-    baseline.run()
-
-    module = build_unoptimized(source,
-                               inline=getattr(options, "inline", False))
-    optimize_module(module, options)
-    optimized = Machine(module, inputs, max_steps)
-    optimized.run()
+    baseline = compile_source(source, optimize=False).run(inputs,
+                                                          max_steps)
+    optimized = compile_source(source, options).run(inputs, max_steps)
     return baseline.output == optimized.output
 
 

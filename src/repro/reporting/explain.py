@@ -13,11 +13,9 @@ from typing import Dict, List, Mapping, Optional, Union
 
 from ..checks.canonical import CanonicalCheck
 from ..checks.config import OptimizerOptions
-from ..checks.optimizer import optimize_module
-from ..interp.machine import Machine
 from ..ir.function import Function
 from ..ir.instructions import Check, Trap
-from ..pipeline.stats import build_unoptimized
+from ..pipeline.driver import compile_source
 from ..symbolic import LinearExpr
 
 Number = Union[int, float]
@@ -116,27 +114,26 @@ def _collect(function: Function, report: FunctionReport,
 def explain_optimization(source: str,
                          options: Optional[OptimizerOptions] = None,
                          inputs: Optional[Mapping[str, Number]] = None,
-                         max_steps: int = 5_000_000) -> ExplanationReport:
-    """Compile twice and produce the per-family report."""
+                         max_steps: int = 5_000_000,
+                         rotate_loops: bool = False,
+                         verify_ir: bool = False) -> ExplanationReport:
+    """Compile twice (naive, then under ``options``) and produce the
+    per-family report.  Both compiles take ``options``' inline axis
+    and the ``rotate_loops``/``verify_ir`` flags, as ``repro run``
+    does with and without ``--no-optimize``."""
     options = options or OptimizerOptions()
     report = ExplanationReport(options.label())
-
-    baseline = build_unoptimized(source)
-    for function in baseline:
-        freport = report.functions.setdefault(function.name,
-                                              FunctionReport(function.name))
-        _collect(function, freport, after=False)
-    machine = Machine(baseline, inputs, max_steps)
-    machine.run()
-    report.dynamic_before = machine.counters.checks
-
-    optimized = build_unoptimized(source)
-    optimize_module(optimized, options)
-    for function in optimized:
-        freport = report.functions.setdefault(function.name,
-                                              FunctionReport(function.name))
-        _collect(function, freport, after=True)
-    machine = Machine(optimized, inputs, max_steps)
-    machine.run()
-    report.dynamic_after = machine.counters.checks
+    for after in (False, True):
+        program = compile_source(source, options, optimize=after,
+                                 rotate_loops=rotate_loops,
+                                 verify_ir=verify_ir)
+        for function in program.module:
+            freport = report.functions.setdefault(
+                function.name, FunctionReport(function.name))
+            _collect(function, freport, after=after)
+        checks = program.run(inputs, max_steps).counters.checks
+        if after:
+            report.dynamic_after = checks
+        else:
+            report.dynamic_before = checks
     return report

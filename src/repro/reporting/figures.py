@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Dict
 
 from ..checks.config import OptimizerOptions, Scheme
-from ..checks.optimizer import count_checks, optimize_module
+from ..checks.optimizer import count_checks
 from ..ir.printer import format_function
-from ..pipeline.stats import build_unoptimized
+from ..pipeline.driver import compile_source
 
 # Figure 1: integer A[5..10]; A[2*N] = 0; A[2*N-1] = 1
 FIGURE1_SOURCE = """
@@ -77,15 +77,11 @@ class FigureReport:
 
 def _reproduce(name: str, source: str,
                options: OptimizerOptions) -> FigureReport:
-    module = build_unoptimized(source)
-    main = module.main
-    before_ir = format_function(main)
-    checks_before = count_checks(main)
-    optimize_module(module, options)
-    after_ir = format_function(main)
-    checks_after = count_checks(main)
-    return FigureReport(name, source, before_ir, after_ir,
-                        checks_before, checks_after)
+    before = compile_source(source, optimize=False).module.main
+    after = compile_source(source, options).module.main
+    return FigureReport(name, source, format_function(before),
+                        format_function(after), count_checks(before),
+                        count_checks(after))
 
 
 def figure1_availability() -> FigureReport:

@@ -209,29 +209,15 @@ def _execute_program(request: CompileRequest) -> Envelope:
     """``run``/``dump``: one source through the cached pipeline."""
     from ..pipeline.cache import shared_cache
     from ..pipeline.driver import compile_source
+    from ..pipeline.profile import with_profile
     from ..pipeline.trace import PipelineTrace
 
-    options = request.options()
-    if request.profile == "auto":
-        from ..pipeline.profile import train_profile
-
-        options = OptimizerOptions(
-            options.scheme, options.kind, options.implication,
-            profile=train_profile(request.source, options, request.inputs,
-                                  max_steps=MAX_STEPS,
-                                  cache=shared_cache()),
-            inline=options.inline)
-    elif isinstance(request.profile, dict):
-        from ..pipeline.profile import EdgeProfile
-
-        # source/kind/implication validation happens in compile_source;
-        # a mismatched artifact surfaces as a 422 like other semantic
-        # compile errors
-        options = OptimizerOptions(
-            options.scheme, options.kind, options.implication,
-            profile=EdgeProfile.loads(json.dumps(request.profile),
-                                      where="<request>"),
-            inline=options.inline)
+    # source/kind/implication validation of a profile happens in
+    # compile_source; a mismatched artifact surfaces as a 422 like
+    # other semantic compile errors
+    options = with_profile(request.options(), request.source,
+                           request.inputs, request.profile, MAX_STEPS,
+                           shared_cache())
     trace = PipelineTrace()
     program = compile_source(request.source, options,
                              optimize=request.optimize,

@@ -181,3 +181,27 @@ end program
         assert not any(isinstance(i, Trap)
                        for i in main.instructions())
         assert cond in list(main.instructions())
+
+    def test_verdict_is_pure(self):
+        from repro.checks.eliminate import compile_time_verdict
+        from repro.ir import Var, INT
+        from repro.ir.instructions import Guard
+        from repro.symbolic import LinearExpr
+        true_guard = Guard(LinearExpr({}, 0), 5, {})
+        false_guard = Guard(LinearExpr({}, 0), -1, {})
+        symbolic = Guard(LinearExpr({"n": 1}, 0), 0, {"n": Var("n", INT)})
+        n = {"n": Var("n", INT)}
+
+        def verdict(linexpr, bound, guards):
+            check = Check(linexpr, bound, dict(n), "upper", "", guards)
+            result = compile_time_verdict(check)
+            assert check.guards == guards  # never trimmed here
+            return result
+
+        assert verdict(LinearExpr({}, 0), -5, [true_guard]) is False
+        assert verdict(LinearExpr({}, 0), 5, [true_guard]) is True
+        assert verdict(LinearExpr({}, 0), -5, [symbolic, false_guard]) \
+            is True
+        assert verdict(LinearExpr({}, 0), -5, [true_guard, symbolic]) \
+            is None
+        assert verdict(LinearExpr({"n": 1}, 0), 5, [true_guard]) is None

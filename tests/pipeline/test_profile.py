@@ -12,12 +12,14 @@ import json
 
 import pytest
 
-from repro.checks.config import OptimizerOptions, Scheme
+from repro.checks.config import (CheckKind, ImplicationMode, OptimizerOptions,
+                                 Scheme)
 from repro.errors import ProfileError, RangeTrap
 from repro.interp.machine import Machine
 from repro.pipeline.driver import compile_source
 from repro.pipeline.profile import (EdgeProfile, profile_from_counters,
-                                    source_digest, train_profile)
+                                    source_digest, train_profile,
+                                    with_profile)
 
 LOOP = """
 program p
@@ -194,3 +196,31 @@ class TestValidation:
         machine.run()
         with pytest.raises(ProfileError, match="did not collect"):
             profile_from_counters(LOOP, machine.counters)
+
+
+class TestWithProfile:
+    def test_unchanged_when_there_is_nothing_to_attach(self):
+        lls = OptimizerOptions(scheme=Scheme.LLS)
+        lo = OptimizerOptions(scheme=Scheme.LO)
+        attached = OptimizerOptions(scheme=Scheme.LO, profile=_trained())
+        assert with_profile(lls, LOOP, {"n": 5}, "auto") is lls
+        assert with_profile(lo, LOOP, {"n": 5}, "off") is lo
+        assert with_profile(attached, LOOP, {"n": 5}, "auto") is attached
+
+    def test_auto_path_and_document_attach_the_same_profile(self, tmp_path):
+        profile = _trained()
+        path = tmp_path / "edges.json"
+        profile.write(str(path))
+        options = OptimizerOptions(scheme=Scheme.LO)
+        for spec in ("auto", str(path), json.loads(profile.dumps())):
+            copy = with_profile(options, LOOP, {"n": 5}, spec)
+            assert copy is not options and options.profile is None
+            assert copy.profile.fingerprint == profile.fingerprint
+
+    def test_copy_keeps_every_axis(self):
+        options = OptimizerOptions(Scheme.LO, CheckKind.INX,
+                                   ImplicationMode.CROSS_FAMILY, inline=True)
+        copy = with_profile(options, LOOP, {"n": 5})
+        assert copy.label() == options.label() == "INX-LO'+inl"
+        assert (copy.profile.kind, copy.profile.implication) == (
+            "INX", "cross-family")

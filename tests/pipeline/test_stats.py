@@ -76,3 +76,24 @@ class TestOutputVerification:
             assert verify_same_output(SOURCE,
                                       OptimizerOptions(scheme=scheme),
                                       {"n": 10})
+
+
+class TestProfileTraining:
+    def _passes(self, options, profile_mode="auto"):
+        cell = measure_scheme("meas", SOURCE, options, 22, {"n": 10},
+                              profile_mode=profile_mode)
+        return [event.name for event in cell.trace]
+
+    def test_lo_trains_and_records_it(self):
+        assert self._passes(OptimizerOptions(scheme=Scheme.LO))[0] == \
+            "train-profile"
+
+    def test_no_event_without_a_training_run(self):
+        from repro.pipeline.profile import train_profile
+
+        lo = OptimizerOptions(scheme=Scheme.LO)
+        attached = OptimizerOptions(
+            scheme=Scheme.LO, profile=train_profile(SOURCE, lo, {"n": 10}))
+        for options, mode in ((lo, "off"), (attached, "auto"),
+                              (OptimizerOptions(), "auto")):
+            assert "train-profile" not in self._passes(options, mode)
