@@ -3,13 +3,11 @@
 from .parallel import SuiteResult, run_compare, run_program, run_suite
 from .registry import (BenchmarkProgram, all_programs, cross_call_programs,
                        get_program)
-from .runner import (BENCH_ENGINES, BENCH_PARITY_FIELDS, BenchProgramResult,
-                     BenchResult, EngineRun, TABLE2_SCHEMES, TABLE3_ROWS,
-                     run_bench, run_table1, run_table2, run_table3)
+from .runner import (BENCH_PARITY_FIELDS, TABLE2_SCHEMES, TABLE3_ROWS,
+                     run_table1, run_table2, run_table3)
 
-__all__ = ["BENCH_ENGINES", "BENCH_PARITY_FIELDS", "BenchProgramResult",
-           "BenchResult", "BenchmarkProgram", "EngineRun", "SuiteResult",
+__all__ = ["BENCH_PARITY_FIELDS", "BenchmarkProgram", "SuiteResult",
            "TABLE2_SCHEMES", "TABLE3_ROWS", "all_programs",
            "cross_call_programs", "get_program",
-           "run_bench", "run_compare", "run_program", "run_suite",
+           "run_compare", "run_program", "run_suite",
            "run_table1", "run_table2", "run_table3"]

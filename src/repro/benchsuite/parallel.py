@@ -11,24 +11,51 @@ Table 1 baseline, and then every Table 2/3 cell against it.
 Determinism: tasks are submitted and collected in registry order, so
 results (and the rendered tables) are byte-identical for any ``--jobs``
 value.  Robustness: any pool-level failure (fork limits, pickling,
-broken workers) falls back to running the remaining work serially in
-this process.
+broken workers) falls back to running all of the work serially in
+this process.  :func:`run_pooled` is that pool; ``repro compare`` and
+the fuzz campaign runner use it too.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from ..checks.config import CheckKind, OptimizerOptions, Scheme
 from ..pipeline.cache import CACHE_DIR_ENV, FrontendCache
 from ..pipeline.stats import (BaselineMeasurement, SchemeMeasurement,
-                              measure_baseline, measure_scheme)
+                              measure_scheme)
 from .registry import BenchmarkProgram, all_programs, get_program
-from .runner import TABLE2_SCHEMES, TABLE3_ROWS
+from .runner import run_table1, run_table2, run_table3
 
 Cells = Dict[Tuple[str, str], SchemeMeasurement]
+T = TypeVar("T")
+
+
+def run_pooled(task: Callable[..., T], argsets: Sequence[tuple],
+               jobs: int) -> Tuple[List[T], bool]:
+    """``[task(*args) for args in argsets]``, ``jobs`` tasks at a time.
+
+    With ``jobs > 1`` and more than one task, the tasks run in a
+    process pool (so ``task`` must be module-level to pickle) and come
+    back in ``argsets`` order.  Any pool failure reruns every task
+    serially in this process, with a note on stderr.  The flag says
+    whether the pool produced the results.
+    """
+    if jobs > 1 and len(argsets) > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(task, *args) for args in argsets]
+                return [future.result() for future in futures], True
+        except Exception as error:  # pool machinery, not the task
+            print("warning: process pool failed (%s: %s); "
+                  "falling back to serial execution"
+                  % (type(error).__name__, error), file=sys.stderr)
+    return [task(*args) for args in argsets], False
 
 
 class SuiteResult:
@@ -71,49 +98,23 @@ def run_program(name: str, small: bool = False,
     by program name so only small strings cross the process boundary.
     A task-private :class:`FrontendCache` guarantees the frontend runs
     exactly once regardless of which process executes the task.
-    ``engine`` selects the interpreter or the threaded Python back-end;
-    the dynamic counts (and thus the rendered tables) are identical
-    either way.
+    ``engine`` names the execution engine (``interp``, ``compiled`` or
+    ``specialized``); the dynamic counts (and thus the rendered tables)
+    are identical for all three.
     """
-    program = get_program(name)
-    inputs = program.test_inputs if small else program.inputs
+    programs = [get_program(name)]
     # task-private counters (the "frontend once per program" proof),
     # but still honoring the REPRO_CACHE_DIR on-disk layer
     cache = FrontendCache(os.environ.get(CACHE_DIR_ENV) or None)
-    baseline = measure_baseline(program.name, program.source, inputs,
-                                engine=engine, cache=cache)
-    table2: Cells = {}
-    for kind in (CheckKind.PRX, CheckKind.INX):
-        for scheme in TABLE2_SCHEMES:
-            options = OptimizerOptions(scheme=scheme, kind=kind)
-            table2[(options.label(), name)] = measure_scheme(
-                name, program.source, options, baseline.dynamic_checks,
-                inputs, engine=engine, cache=cache,
-                profile_mode=profile_mode)
-    table3: Cells = {}
-    for kind in (CheckKind.PRX, CheckKind.INX):
-        for scheme, mode in TABLE3_ROWS:
-            options = OptimizerOptions(scheme=scheme, kind=kind,
-                                       implication=mode)
-            table3[(options.label(), name)] = measure_scheme(
-                name, program.source, options, baseline.dynamic_checks,
-                inputs, engine=engine, cache=cache)
+    baseline, = run_table1(programs, small=small, cache=cache,
+                           engine=engine)
+    baselines = {name: baseline}
+    table2 = run_table2(programs, small=small, cache=cache,
+                        baselines=baselines, engine=engine,
+                        profile_mode=profile_mode)
+    table3 = run_table3(programs, small=small, cache=cache,
+                        baselines=baselines, engine=engine)
     return baseline, table2, table3, cache.stats()
-
-
-def _run_pool(names: List[str], small: bool, jobs: int, engine: str,
-              profile_mode: str) -> List[Optional[ProgramResult]]:
-    """One result per name, in order; ``None`` where a task failed."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    results: List[Optional[ProgramResult]] = [None] * len(names)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_program, name, small, engine,
-                               profile_mode)
-                   for name in names]
-        for index, future in enumerate(futures):
-            results[index] = future.result()
-    return results
 
 
 def run_suite(programs: Optional[Iterable[BenchmarkProgram]] = None,
@@ -124,26 +125,14 @@ def run_suite(programs: Optional[Iterable[BenchmarkProgram]] = None,
 
     ``jobs <= 1`` runs serially in-process.  Pool failures degrade to
     serial execution with a note on stderr; results are identical
-    either way — and identical for either ``engine``.
+    either way — and identical for any ``engine``.
     ``profile_mode`` controls the LO column's self-training (see
     :func:`repro.pipeline.stats.measure_scheme`).
     """
     names = [p.name for p in (programs or all_programs())]
-    results: List[Optional[ProgramResult]] = [None] * len(names)
-    used_pool = False
-    if jobs > 1 and len(names) > 1:
-        try:
-            results = _run_pool(names, small, jobs, engine, profile_mode)
-            used_pool = True
-        except Exception as error:  # pool machinery, not measurement
-            print("warning: process pool failed (%s: %s); "
-                  "falling back to serial execution"
-                  % (type(error).__name__, error), file=sys.stderr)
-            results = [None] * len(names)
-    for index, name in enumerate(names):
-        if results[index] is None:
-            results[index] = run_program(name, small, engine,
-                                         profile_mode)
+    results, used_pool = run_pooled(
+        run_program, [(name, small, engine, profile_mode) for name in names],
+        jobs)
 
     rows: List[BaselineMeasurement] = []
     table2: Cells = {}
@@ -179,26 +168,8 @@ def run_compare(source: str, kind: CheckKind, baseline_checks: int,
                 ) -> List[Tuple[Scheme, SchemeMeasurement]]:
     """One ``compare`` cell per scheme, in :class:`Scheme` order."""
     schemes = list(Scheme)
-    cells: List[Optional[SchemeMeasurement]] = [None] * len(schemes)
-    if jobs > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(compare_scheme, source, kind.name,
-                                       scheme.name, baseline_checks,
-                                       inputs, profile_mode)
-                           for scheme in schemes]
-                for index, future in enumerate(futures):
-                    cells[index] = future.result()
-        except Exception as error:
-            print("warning: process pool failed (%s: %s); "
-                  "falling back to serial execution"
-                  % (type(error).__name__, error), file=sys.stderr)
-            cells = [None] * len(schemes)
-    for index, scheme in enumerate(schemes):
-        if cells[index] is None:
-            cells[index] = compare_scheme(source, kind.name, scheme.name,
-                                          baseline_checks, inputs,
-                                          profile_mode)
+    cells, _ = run_pooled(
+        compare_scheme,
+        [(source, kind.name, scheme.name, baseline_checks, inputs,
+          profile_mode) for scheme in schemes], jobs)
     return list(zip(schemes, cells))

@@ -54,15 +54,13 @@ def _usage_exit(message: str) -> "SystemExit":
 ENGINE_NAMES = ("interp", "compiled", "specialized")
 
 
-def _validate_engine(command: str, engine: str,
-                     extra: tuple = ()) -> str:
+def _validate_engine(command: str, engine: str) -> str:
     """Exit-code-2 contract: an unknown engine name is a usage error
     with a one-line message, never an argparse usage dump or a
     traceback."""
-    allowed = ENGINE_NAMES + extra
-    if engine not in allowed:
+    if engine not in ENGINE_NAMES:
         raise _usage_exit("%s: unknown engine %r (choose from %s)"
-                          % (command, engine, ", ".join(allowed)))
+                          % (command, engine, ", ".join(ENGINE_NAMES)))
     return engine
 
 
@@ -274,85 +272,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                      stats.get("disk_hits", 0),
                      stats.get("evictions", 0)), file=sys.stderr)
     return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _validate_engine("bench", args.engine, extra=("all",))
-    import json
-    import os
-
-    from .benchsuite import all_programs, get_program, run_bench
-    from .reporting import bench_to_dict
-
-    if args.programs:
-        try:
-            programs = [get_program(name) for name in args.programs]
-        except KeyError as error:
-            raise _usage_exit("bench: %s" % error.args[0])
-    else:
-        programs = all_programs()
-    # a backend-only request still runs the interpreter as the parity
-    # reference: the whole point of the artifact is counts asserted
-    # identical across engines
-    if args.engine == "interp":
-        engines = ("interp",)
-    elif args.engine == "all":
-        engines = ("interp", "compiled", "specialized")
-    else:
-        engines = ("interp", args.engine)
-    # the artifact name derives from --tag so successive campaigns
-    # (BENCH_4, BENCH_6, ...) can't silently clobber each other; an
-    # explicit --out overrides, '' disables the artifact entirely
-    out = args.out if args.out is not None else "BENCH_%s.json" % args.tag
-    if out and os.path.exists(out) and not args.force:
-        raise _usage_exit("bench: %s already exists "
-                          "(pass --force to overwrite)" % out)
-    options = OptimizerOptions(scheme=Scheme[args.scheme],
-                               kind=CheckKind[args.kind])
-    result = run_bench(programs, engines=engines, small=args.small,
-                       repeats=args.repeats, options=options,
-                       profile_mode=args.profile)
-    doc = bench_to_dict(result)
-    if out:
-        out_dir = os.path.dirname(out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(out, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % out, file=sys.stderr)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        compared = "interp" in result.engines and len(result.engines) > 1
-        for row in result.programs:
-            parts = ["%-10s" % row.name]
-            for engine in result.engines:
-                run = row.engines[engine]
-                parts.append("%s %9.4fs" % (engine, run.seconds))
-            if compared:
-                parity = ("ok" if row.counts_match and row.output_match
-                          else "MISMATCH(%s)"
-                          % ",".join(row.mismatches or ["output"]))
-                if "compiled" in row.engines:
-                    parts.append("%7.2fx" % row.speedup)
-                if "specialized" in row.engines:
-                    parts.append("%7.2fx(sp)" % row.speedup_specialized)
-                parts.append("counts %s" % parity)
-            print("  ".join(parts))
-        if compared:
-            parts = ["%-10s" % "total"]
-            for engine in result.engines:
-                parts.append("%s %9.4fs"
-                             % (engine, result.total_seconds(engine)))
-            if "compiled" in result.engines:
-                parts.append("%7.2fx" % result.speedup)
-            if "specialized" in result.engines:
-                parts.append("%7.2fx(sp)" % result.speedup_specialized)
-            parts.append("counts %s"
-                         % ("ok" if result.counts_ok() else "MISMATCH"))
-            print("  ".join(parts))
-    return EXIT_OK if result.counts_ok() else EXIT_TRAP
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -661,48 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "profile per program, 'off' "
                                     "degrades LO to LCM-latest")
     tables_parser.set_defaults(handler=_cmd_tables)
-
-    bench_parser = commands.add_parser(
-        "bench", help="wall-clock comparison of the execution engines")
-    bench_parser.add_argument("--engine", default="all",
-                              metavar="ENGINE",
-                              help="engine under test (interp, compiled, "
-                                   "specialized, all); a back-end "
-                                   "engine still runs the interpreter "
-                                   "as the parity reference "
-                                   "(default: all three)")
-    bench_parser.add_argument("--small", action="store_true",
-                              help="use test-sized inputs")
-    bench_parser.add_argument("--programs", nargs="+", metavar="NAME",
-                              help="benchmark subset (default: all ten)")
-    bench_parser.add_argument("--repeats", type=int, default=3, metavar="N",
-                              help="timed executions per engine; the best "
-                                   "is reported (default 3)")
-    bench_parser.add_argument("--json", action="store_true",
-                              help="print the bench document to stdout")
-    bench_parser.add_argument("--tag", default="6", metavar="TAG",
-                              help="artifact tag; the document is "
-                                   "written to BENCH_<TAG>.json "
-                                   "(default %(default)s)")
-    bench_parser.add_argument("--out", metavar="PATH", default=None,
-                              help="write the bench document here "
-                                   "(default BENCH_<tag>.json; "
-                                   "'' disables)")
-    bench_parser.add_argument("--force", action="store_true",
-                              help="overwrite an existing artifact")
-    bench_parser.add_argument("--scheme", default="LLS",
-                              choices=[s.name for s in Scheme],
-                              help="placement scheme every program is "
-                                   "compiled under (default LLS)")
-    bench_parser.add_argument("--kind", default="PRX",
-                              choices=[k.name for k in CheckKind])
-    bench_parser.add_argument("--profile", default="auto",
-                              choices=["auto", "off"],
-                              help="--scheme LO training: 'auto' "
-                                   "(default) self-trains an edge "
-                                   "profile per program, 'off' degrades "
-                                   "LO to LCM-latest")
-    bench_parser.set_defaults(handler=_cmd_bench)
 
     fuzz_parser = commands.add_parser(
         "fuzz", help="differential fuzzing of the check optimizer")

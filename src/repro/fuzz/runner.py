@@ -3,7 +3,8 @@
 A campaign runs ``count`` seeds starting at ``seed``.  Each seed is
 independent -- generate the program, hand it to the
 :class:`~repro.fuzz.oracle.Oracle` -- so the campaign fans out over a
-process pool exactly like the benchmark suite does (module-level task,
+process pool through the benchmark suite's
+:func:`~repro.benchsuite.parallel.run_pooled` (module-level task,
 deterministic collection order, serial fallback when the pool breaks).
 
 Failures are minimized by the greedy shrinker (against the *failing
@@ -26,9 +27,9 @@ full oracle as a regression test.
 from __future__ import annotations
 
 import os
-import sys
 from typing import Callable, Dict, List, Optional
 
+from ..benchsuite.parallel import run_pooled
 from .generator import GeneratorConfig, generate_program
 from .oracle import Oracle, FuzzFailure, config_by_label
 from .shrink import make_predicate, shrink
@@ -88,23 +89,6 @@ def _revive(payload: Dict[str, object]) -> FuzzFailure:
     return FuzzFailure(payload["kind"], payload["seed"],
                        payload["source"], payload["config"],
                        payload["detail"])
-
-
-def _run_pool(seeds: List[int], config_labels: Optional[List[str]],
-              engines: bool, jobs: int,
-              faults_spec: Optional[str] = None,
-              cache_dir: Optional[str] = None
-              ) -> List[Optional[Dict[str, object]]]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    results: List[Optional[Dict[str, object]]] = [None] * len(seeds)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fuzz_one, s, config_labels, engines,
-                               faults_spec, cache_dir)
-                   for s in seeds]
-        for index, future in enumerate(futures):
-            results[index] = future.result()
-    return results
 
 
 def shrink_failure(failure: FuzzFailure,
@@ -196,25 +180,9 @@ def run_campaign(count: int, seed: int = 0, jobs: int = 1,
     """
     _resolve_configs(config_labels)  # validate labels before working
     result = CampaignResult()
-    seeds = list(range(seed, seed + count))
-    payloads: List[Optional[Dict[str, object]]] = [None] * len(seeds)
-    ran = [False] * len(seeds)
-    if jobs > 1 and len(seeds) > 1:
-        try:
-            payloads = _run_pool(seeds, config_labels, engines, jobs,
-                                 faults_spec, cache_dir)
-            ran = [True] * len(seeds)
-            result.parallel = True
-        except Exception as error:  # pool machinery, not the oracle
-            print("warning: process pool failed (%s: %s); "
-                  "falling back to serial execution"
-                  % (type(error).__name__, error), file=sys.stderr)
-            payloads = [None] * len(seeds)
-            ran = [False] * len(seeds)
-    for index, value in enumerate(seeds):
-        if not ran[index]:
-            payloads[index] = fuzz_one(value, config_labels, engines,
-                                       faults_spec, cache_dir)
+    payloads, result.parallel = run_pooled(
+        fuzz_one, [(value, config_labels, engines, faults_spec, cache_dir)
+                   for value in range(seed, seed + count)], jobs)
     for payload in payloads:
         result.programs += 1
         if payload is None:

@@ -19,7 +19,6 @@ from ..pipeline.stats import BaselineMeasurement, SchemeMeasurement
 
 #: Bumped whenever the JSON layout changes incompatibly.
 TABLES_SCHEMA = "repro.tables.v1"
-BENCH_SCHEMA = "repro.bench.v1"
 COMPARE_SCHEMA = "repro.compare.v1"
 RUN_SCHEMA = "repro.run.v1"
 LOADGEN_SCHEMA = "repro.loadgen.v1"
@@ -90,61 +89,6 @@ def tables_to_dict(suite: "SuiteResult", small: bool,
         "table3": cells_to_list(suite.table3, table3_labels, suite.names),
         "cache": {name: dict(stats)
                   for name, stats in suite.cache_stats.items()},
-    }
-
-
-def bench_to_dict(result: "BenchResult") -> Dict[str, Any]:
-    """The ``repro bench --json`` document (the ``BENCH_*.json``
-    artifact).
-
-    Layout: one entry per program with per-engine wall-clock seconds
-    (best of ``repeats``; ``runs`` holds every repeat), the one-time
-    back-end translation cost, a full dynamic-counter snapshot per
-    engine, and the parity verdicts.  ``totals`` aggregates wall clock
-    and the overall ``counts_match`` that CI asserts on.  ``phis`` is
-    excluded from parity on purpose — see
-    :data:`repro.benchsuite.runner.BENCH_PARITY_FIELDS`.
-    """
-    programs = []
-    for row in result.programs:
-        engines: Dict[str, Any] = {}
-        for name, run in row.engines.items():
-            engines[name] = {
-                "seconds": run.seconds,
-                "runs": list(run.runs),
-                "translate_seconds": run.translate_seconds,
-                "counters": dict(run.counters),
-            }
-        entry = {
-            "program": row.name,
-            "engines": engines,
-            "counts_match": row.counts_match,
-            "output_match": row.output_match,
-            "mismatches": list(row.mismatches),
-            "speedup": row.speedup,
-        }
-        if "specialized" in row.engines:
-            entry["speedup_specialized"] = row.speedup_specialized
-            entry["speedup_vs_compiled"] = row.speedup_vs_compiled
-        programs.append(entry)
-    totals = {
-        "interp_seconds": result.total_seconds("interp"),
-        "compiled_seconds": result.total_seconds("compiled"),
-        "speedup": result.speedup,
-        "counts_match": result.counts_ok(),
-    }
-    if "specialized" in result.engines:
-        totals["specialized_seconds"] = result.total_seconds("specialized")
-        totals["speedup_specialized"] = result.speedup_specialized
-        totals["speedup_vs_compiled"] = result.speedup_vs_compiled
-    return {
-        "schema": BENCH_SCHEMA,
-        "config": result.config_label,
-        "small": result.small,
-        "repeats": result.repeats,
-        "engines": list(result.engines),
-        "programs": programs,
-        "totals": totals,
     }
 
 

@@ -88,21 +88,3 @@ class TestInlineReachesEveryCaller:
             program_def.test_inputs)
         assert report.label == "INX-LLS+inl"
         assert report.dynamic_after == run.counters.checks
-
-    def test_run_bench_keeps_inline_under_trained_lo(self):
-        from repro.benchsuite import run_bench
-        from repro.pipeline.profile import train_profile
-
-        program_def = get_program("ipduplex")
-        options = OptimizerOptions(scheme=Scheme.LO, kind=CheckKind.INX,
-                                   inline=True)
-        result = run_bench([program_def], engines=("interp",), small=True,
-                           repeats=1, options=options)
-        inputs = program_def.test_inputs
-        trained = OptimizerOptions(
-            Scheme.LO, CheckKind.INX, inline=True,
-            profile=train_profile(program_def.source, options, inputs))
-        expected = compile_source(program_def.source, trained).run(inputs)
-        assert result.config_label == "INX-LO+inl"
-        assert (result.programs[0].engines["interp"].counters["checks"]
-                == expected.counters.checks)

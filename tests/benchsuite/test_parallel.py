@@ -12,7 +12,6 @@ import pytest
 
 from repro.benchsuite import (all_programs, run_compare, run_program,
                               run_suite, run_table1, run_table2, run_table3)
-from repro.benchsuite import parallel as parallel_mod
 from repro.checks import CheckKind, ImplicationMode, Scheme
 from repro.pipeline import FrontendCache
 
@@ -63,15 +62,14 @@ class TestRunSuite:
         assert suite.names == [p.name for p in FIRST]
         assert [r.name for r in suite.rows] == suite.names
 
-    def test_pool_failure_falls_back_to_serial(self, monkeypatch, capsys):
-        def broken_pool(names, small, jobs):
-            raise OSError("no forks today")
-
-        monkeypatch.setattr(parallel_mod, "_run_pool", broken_pool)
+    def test_pool_failure_falls_back_to_serial(self, no_process_pool,
+                                               capsys):
         suite = run_suite(FIRST, small=True, jobs=2)
         assert not suite.parallel
         assert suite.frontend_compiles() == len(FIRST)
-        assert "falling back to serial" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert no_process_pool in err
+        assert "falling back to serial" in err
 
 
 class TestRunnerCacheSharing:
@@ -128,3 +126,12 @@ end program
                              jobs=2)
         assert [c.dynamic_checks for _, c in serial] == \
             [c.dynamic_checks for _, c in pooled]
+
+    def test_pool_failure_falls_back_to_serial(self, no_process_pool,
+                                               capsys):
+        cells = run_compare(self.SOURCE, CheckKind.PRX, 42, {"n": 15},
+                            jobs=2)
+        assert [scheme for scheme, _ in cells] == list(Scheme)
+        err = capsys.readouterr().err
+        assert no_process_pool in err
+        assert "falling back to serial" in err

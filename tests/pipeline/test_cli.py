@@ -179,8 +179,7 @@ class TestExitCodeContract:
         # every --engine taker shares the contract: exit code 2 plus a
         # single-line message, never an argparse usage dump
         for argv in (["run", source_file, "--engine", "turbo"],
-                     ["tables", "--engine", "turbo"],
-                     ["bench", "--engine", "turbo"]):
+                     ["tables", "--engine", "turbo"]):
             with pytest.raises(SystemExit) as info:
                 main(argv)
             assert info.value.code == 2
@@ -189,8 +188,9 @@ class TestExitCodeContract:
             assert "unknown engine 'turbo'" in err
 
     def test_bench_accepts_all_engines_keyword(self):
-        # "all" is bench-only; run/tables reject it with the same
-        # one-liner
+        # "all" named every engine of the retired bench command; no
+        # remaining command accepts it, and tables rejects it with the
+        # same one-liner as any unknown engine
         with pytest.raises(SystemExit) as info:
             main(["tables", "--engine", "all"])
         assert info.value.code == 2
