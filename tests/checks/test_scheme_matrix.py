@@ -10,9 +10,14 @@ covers:
   under full implication;
 * Table 3's primed ablations NI', SE' and LLS' on the same programs;
 * the three cross-call kernels x every ``Scheme`` x both kinds, with
-  and without ``inline``.
+  and without ``inline``;
+* the fuzz generator's programs for seeds 1-6 x every ``Scheme`` x both
+  kinds.  Their loops have non-unit and negative steps (``do i = 0, n,
+  2``), so they reach the preheader arithmetic for a loop's last index
+  and trip count that the step-1 loops above never need.
 
-``LO`` is trained on each program's test inputs.  A mismatch means the
+``LO`` is trained on each program's test inputs (none for the
+generated programs).  A mismatch means the
 optimizer's output changed; if the change is intended, regenerate the
 golden deliberately with ``PYTHONPATH=src python -m
 tests.checks.test_scheme_matrix``.
@@ -24,10 +29,12 @@ import os
 
 import pytest
 
-from repro.benchsuite.registry import all_programs, cross_call_programs
+from repro.benchsuite.registry import (BenchmarkProgram, all_programs,
+                                      cross_call_programs)
 from repro.checks.config import (CheckKind, ImplicationMode, OptimizerOptions,
                                  Scheme)
 from repro.checks.optimizer import RangeCheckOptimizer
+from repro.fuzz.generator import generate_program
 from repro.ir.printer import format_module
 from repro.pipeline.cache import FrontendCache
 from repro.pipeline.driver import compile_source
@@ -39,6 +46,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 PRIMES = ((Scheme.NI, ImplicationMode.NONE),
           (Scheme.SE, ImplicationMode.NONE),
           (Scheme.LLS, ImplicationMode.CROSS_FAMILY))
+
+GENERATOR_SEEDS = range(1, 7)
 
 
 def configurations():
@@ -55,6 +64,12 @@ def configurations():
                 for scheme in Scheme:
                     yield program, OptimizerOptions(scheme, kind,
                                                     inline=inline)
+    for seed in GENERATOR_SEEDS:
+        program = BenchmarkProgram("gen%d" % seed, "fuzz",
+                                   generate_program(seed), {})
+        for kind in CheckKind:
+            for scheme in Scheme:
+                yield program, OptimizerOptions(scheme, kind)
 
 
 def fingerprint(program, options, cache):
@@ -97,7 +112,7 @@ class TestSchemeMatrix:
     def test_golden_covers_the_matrix(self, golden):
         keys = ["%s %s" % (program.name, options.label())
                 for program, options in configurations()]
-        assert len(keys) == len(set(keys)) == 412
+        assert len(keys) == len(set(keys)) == 544
         assert sorted(golden) == sorted(keys)
 
     def test_matrix_matches_golden(self, golden):
