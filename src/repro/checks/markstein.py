@@ -30,7 +30,7 @@ from ..analysis.postdom import PostDominators
 from ..ir.basicblock import BasicBlock
 from ..ir.instructions import Check
 from .canonical import CanonicalCheck
-from .preheader import PreheaderInserter, _NEVER_RUNS
+from .preheader import NEVER_RUNS, PreheaderInserter
 
 
 class MarksteinInserter(PreheaderInserter):
@@ -43,8 +43,9 @@ class MarksteinInserter(PreheaderInserter):
             body_entry = self._body_entry(loop)
             if body_entry is None:
                 continue
-            guard = self._loop_guard(loop)
-            if guard is _NEVER_RUNS:
+            guard = self.limits.guard(loop, self.induction.ivs.get(loop),
+                                      self._while_guard)
+            if guard is NEVER_RUNS:
                 continue
             preheader = self.forest.get_or_create_preheader(loop)
             candidates = self._articulation_checks(
@@ -97,4 +98,4 @@ class MarksteinInserter(PreheaderInserter):
         iv = self.induction.ivs.get(loop)
         if iv is not None and symbol == iv.var.name:
             return True  # the loop's own index variable
-        return not self._defined_inside(symbol, loop)  # invariant scalar
+        return not self.limits.defined_inside(symbol, loop)  # invariant scalar

@@ -227,27 +227,3 @@ class InductionAnalysis:
         if degree == 1:
             return IndKind.LINEAR
         return IndKind.POLYNOMIAL
-
-    def linear_parts(self, poly: Polynomial, loop: Loop):
-        """Decompose ``poly`` as ``a * h_loop + rest`` with integer ``a``
-        and ``rest`` invariant; returns ``(a, rest_poly)`` or None.
-
-        This is the shape loop-limit substitution needs: an integer
-        coefficient fixes the direction of the extreme value.
-        """
-        if self.classify_poly(poly, loop) is not IndKind.LINEAR:
-            return None
-        h_name = h_symbol(loop)
-        coeff = 0
-        rest: Dict = {}
-        for mono, c in poly.coeffs.items():
-            h_power = sum(p for s, p in mono if s == h_name)
-            if h_power == 0:
-                rest[mono] = c
-            elif h_power == 1 and len(mono) == 1:
-                coeff = c
-            else:
-                return None  # mixed term like h*m: symbolic coefficient
-        if coeff == 0:
-            return None
-        return coeff, Polynomial(rest)

@@ -186,52 +186,6 @@ end program
 
 
 class TestLinearParts:
-    def test_decomposition(self):
-        analysis, forest, _ = analyze("""
-program p
-  input integer :: n = 5
-  integer :: i, s
-  s = 0
-  do i = 1, n
-    s = s + 1
-  end do
-  print s
-end program
-""")
-        loop = forest.loops[0]
-        i_phi = [p.dest.name for p in loop.header.phis()
-                 if p.dest.base_name() == "i"][0]
-        poly = analysis.expr_of(i_phi)
-        parts = analysis.linear_parts(poly, loop)
-        assert parts is not None
-        coeff, rest = parts
-        assert coeff == 1
-        assert rest.constant_value() == 1  # i = h + 1
-
-    def test_mixed_term_rejected(self):
-        analysis, forest, _ = analyze("""
-program p
-  input integer :: n = 5, m = 2
-  integer :: i, k, s
-  k = 0
-  s = 0
-  do i = 1, n
-    k = k + m
-    s = s + k
-  end do
-  print s
-end program
-""")
-        loop = forest.loops[0]
-        k_names = [name for name in analysis.exprs if name.startswith("k.")]
-        for name in k_names:
-            poly = analysis.expr_of(name)
-            if analysis.classify_poly(poly, loop) is IndKind.LINEAR:
-                # k = m*h + ... has a symbolic coefficient on h
-                assert analysis.linear_parts(poly, loop) is None
-                return
-        raise AssertionError("expected a linear k with symbolic stride")
-
     def test_loop_of_h(self):
         analysis, forest, _ = analyze("""
 program p
