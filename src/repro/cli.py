@@ -140,22 +140,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              optimize=not args.no_optimize,
                              rotate_loops=args.rotate_loops,
                              verify_ir=args.verify_ir)
-    trap = None
-    result = None
-    try:
-        if args.engine in ("compiled", "specialized"):
-            result = program.run_compiled(inputs, engine=args.engine,
-                                          collect_edges=collect_edges)
-        else:
-            result = program.run(inputs, collect_edges=collect_edges)
-    except RangeTrap as error:
-        trap = error
+    execution = program.execute(inputs, args.engine,
+                                collect_edges=collect_edges)
+    trap = execution.trap
     if args.profile_out:
         if trap is None:
             from .pipeline.profile import profile_from_counters
 
             profile_from_counters(
-                source, result.counters,
+                source, execution.counters,
                 kind=options.kind.value,
                 implication=options.implication.value,
                 scheme=options.scheme.value).write(args.profile_out)
@@ -166,23 +159,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        from .reporting import run_to_dict
+        from .reporting.jsonout import execution_to_dict
 
-        stats = program.total_stats() if not args.no_optimize else None
-        print(json.dumps(run_to_dict(
-            _options(args).label(),
-            result.counters if result is not None else None,
-            list(result.output) if result is not None else [],
-            trap=trap, optimize_stats=stats, trace=program.trace,
-            frontend_cached=program.trace.frontend_was_cached(),
-            engine=args.engine), indent=2, sort_keys=True))
+        print(json.dumps(execution_to_dict(_options(args).label(),
+                                           execution),
+                         indent=2, sort_keys=True))
         return EXIT_TRAP if trap is not None else EXIT_OK
     if trap is not None:
-        print("TRAP: %s" % trap, file=sys.stderr)
-        return EXIT_TRAP
-    for value in result.output:
+        raise trap
+    for value in execution.output:
         print(value)
-    counters = result.counters
+    counters = execution.counters
     print("-- %d instructions, %d range checks executed"
           % (counters.instructions, counters.checks), file=sys.stderr)
     return EXIT_OK
@@ -767,6 +754,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except RangeTrap as error:
+        print("TRAP: %s" % error, file=sys.stderr)
+        return EXIT_TRAP
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)
         return EXIT_USAGE

@@ -25,6 +25,7 @@ from typing import Dict, Mapping, Optional, Union
 
 from ..checks.config import OptimizerOptions
 from ..checks.optimizer import OptimizeStats, optimize_module
+from ..errors import RangeTrap
 from ..frontend.parser import parse_source
 from ..interp.machine import Machine
 from ..ir.function import Module
@@ -244,12 +245,53 @@ class CompiledProgram:
             self._python_modules[key] = compiled
         return compiled.run(inputs, max_steps=max_steps)
 
+    def execute(self, inputs: Optional[Mapping[str, Number]] = None,
+                engine: str = "interp", max_steps: int = 50_000_000,
+                collect_edges: bool = False) -> "Execution":
+        """Run on ``engine`` (:meth:`run` for ``"interp"``, else
+        :meth:`run_compiled`) inside an ``execute`` trace event.
+
+        A :class:`~repro.errors.RangeTrap` does not propagate: the
+        execution carries it, with the counters and output the program
+        produced before the trap.
+        """
+        trap = None
+        with self.trace.timed("execute") as event:
+            try:
+                if engine in ("compiled", "specialized"):
+                    runtime = self.run_compiled(
+                        inputs, max_steps=max_steps, engine=engine,
+                        collect_edges=collect_edges)
+                else:
+                    runtime = self.run(inputs, max_steps=max_steps,
+                                       collect_edges=collect_edges)
+            except RangeTrap as error:
+                trap = error
+                runtime = getattr(error, "runtime", None)
+            event.counters = {"engine": engine}
+        return Execution(self, engine, runtime, trap)
+
     def total_stats(self) -> OptimizeStats:
         """Module-wide optimizer stats."""
         total = OptimizeStats("<module>")
         for stats in self.optimize_stats.values():
             total.merge(stats)
         return total
+
+
+class Execution:
+    """One :meth:`CompiledProgram.execute`: the runtime's counters
+    (None if a trap left none) and output, and the trap if one fired."""
+
+    __slots__ = ("program", "engine", "counters", "output", "trap")
+
+    def __init__(self, program: CompiledProgram, engine: str, runtime,
+                 trap: Optional[RangeTrap]) -> None:
+        self.program = program
+        self.engine = engine
+        self.counters = getattr(runtime, "counters", None)
+        self.output = list(getattr(runtime, "output", None) or [])
+        self.trap = trap
 
 
 def compile_source(source: str,

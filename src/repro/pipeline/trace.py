@@ -21,7 +21,7 @@ import time
 from typing import Any, Dict, Iterator, List, Optional
 
 #: Pass names that make up the cacheable frontend prefix.
-FRONTEND_PASSES = ("parse", "lower", "rotate", "ssa")
+FRONTEND_PASSES = ("parse", "lower", "inline", "rotate", "ssa")
 
 
 class PassEvent:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from ..pipeline.stats import BaselineMeasurement, SchemeMeasurement
+from ..pipeline.trace import FRONTEND_PASSES
 
 #: Bumped whenever the JSON layout changes incompatibly.
 TABLES_SCHEMA = "repro.tables.v1"
@@ -133,17 +134,36 @@ def run_to_dict(config_label: str, counters, output: List[Any],
         }
     else:
         doc["optimizer"] = None
-    if trace is not None:
-        doc["phases"] = {
-            "parse": sum(trace.seconds(name)
-                         for name in ("parse", "lower", "rotate", "ssa",
-                                      "frontend", "clone")),
-            "optimize": trace.seconds("check-optimize"),
-            "execute": trace.seconds("execute"),
-        }
-    else:
-        doc["phases"] = None
+    doc["phases"] = phases_to_dict(trace) if trace is not None else None
     return doc
+
+
+def execution_to_dict(config_label: str, execution) -> Dict[str, Any]:
+    """The run document of one
+    :meth:`~repro.pipeline.driver.CompiledProgram.execute`: what
+    ``repro run --json`` prints and the service's ``run`` body."""
+    program = execution.program
+    trace = program.trace
+    return run_to_dict(
+        config_label, execution.counters, execution.output,
+        trap=execution.trap,
+        optimize_stats=(program.total_stats() if program.optimize_stats
+                        else None),
+        trace=trace, frontend_cached=trace.frontend_was_cached(),
+        backend_cached=trace.backend_was_cached(), engine=execution.engine)
+
+
+def phases_to_dict(trace) -> Dict[str, float]:
+    """Wall seconds of one request's phases (run and dump documents,
+    and the service's ``repro_phase_seconds``).  ``parse`` is the
+    frontend: its passes, or ``frontend`` and ``clone`` when the
+    module came from the cache."""
+    return {
+        "parse": sum(trace.seconds(name) for name
+                     in FRONTEND_PASSES + ("frontend", "clone")),
+        "optimize": trace.seconds("check-optimize"),
+        "execute": trace.seconds("execute"),
+    }
 
 
 def compare_to_dict(path: str, baseline: BaselineMeasurement,

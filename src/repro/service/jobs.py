@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..checks.config import (CheckKind, ImplicationMode, OptimizerOptions,
                              Scheme)
-from ..errors import RangeTrap, ReproError
+from ..errors import ReproError
 from ..reporting.jsonout import (SERVICE_ERROR_SCHEMA,
-                                 SERVICE_TABLES_SCHEMA, run_to_dict)
+                                 SERVICE_TABLES_SCHEMA, execution_to_dict,
+                                 phases_to_dict)
 
 #: Actions the ``/compile`` endpoint accepts.
 ACTIONS = ("run", "dump", "tables")
@@ -210,7 +211,6 @@ def _execute_program(request: CompileRequest) -> Envelope:
     from ..pipeline.cache import shared_cache
     from ..pipeline.driver import compile_source
     from ..pipeline.profile import with_profile
-    from ..pipeline.trace import PipelineTrace
 
     # source/kind/implication validation of a profile happens in
     # compile_source; a mismatched artifact surfaces as a 422 like
@@ -218,13 +218,11 @@ def _execute_program(request: CompileRequest) -> Envelope:
     options = with_profile(request.options(), request.source,
                            request.inputs, request.profile, MAX_STEPS,
                            shared_cache())
-    trace = PipelineTrace()
     program = compile_source(request.source, options,
                              optimize=request.optimize,
                              rotate_loops=request.rotate_loops,
                              verify_ir=request.verify_ir,
-                             trace=trace, cache=shared_cache())
-    cached = trace.frontend_was_cached()
+                             cache=shared_cache())
     if request.action == "dump":
         from ..ir.printer import format_module
 
@@ -233,45 +231,15 @@ def _execute_program(request: CompileRequest) -> Envelope:
             "ok": True,
             "config": request.options().label(),
             "ir": format_module(program.module),
-            "frontend_cached": cached,
-            "phases": {
-                "parse": sum(trace.seconds(name)
-                             for name in ("parse", "lower", "rotate",
-                                          "ssa", "frontend", "clone")),
-                "optimize": trace.seconds("check-optimize"),
-                "execute": 0.0,
-            },
+            "frontend_cached": program.trace.frontend_was_cached(),
+            "phases": phases_to_dict(program.trace),
         }
-    trap: Optional[RangeTrap] = None
-    counters = None
-    output: List[Any] = []
-    with trace.timed("execute") as event:
-        try:
-            if request.engine in ("compiled", "specialized"):
-                # same fuel budget as the interpreter path: a runaway
-                # program must fail fast with StepLimitError, not hold a
-                # worker until the request deadline 504s
-                result = program.run_compiled(request.inputs,
-                                              max_steps=MAX_STEPS,
-                                              engine=request.engine)
-            else:
-                result = program.run(request.inputs,
-                                     max_steps=MAX_STEPS)
-            counters, output = result.counters, result.output
-        except RangeTrap as error:
-            trap = error
-            runtime = getattr(error, "runtime", None)
-            if runtime is not None:
-                counters = getattr(runtime, "counters", None)
-                output = list(getattr(runtime, "output", []) or [])
-        event.counters = {"engine": request.engine}
-    stats = program.total_stats() if request.optimize else None
-    body = run_to_dict(request.options().label(), counters, output,
-                       trap=trap, optimize_stats=stats, trace=trace,
-                       frontend_cached=cached,
-                       backend_cached=trace.backend_was_cached(),
-                       engine=request.engine)
-    return 200, body
+    # every engine runs on the same fuel budget: a runaway program must
+    # fail fast with StepLimitError, not hold a worker until the
+    # request deadline 504s
+    execution = program.execute(request.inputs, request.engine,
+                                max_steps=MAX_STEPS)
+    return 200, execution_to_dict(request.options().label(), execution)
 
 
 def _execute_tables(request: CompileRequest) -> Envelope:

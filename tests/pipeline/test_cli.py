@@ -170,6 +170,14 @@ class TestExitCodeContract:
     def test_trap_is_one(self, source_file):
         assert main(["run", source_file, "--input", "n=60"]) == 1
 
+    def test_explain_trap_is_one(self, source_file, capsys):
+        # explain runs the program too: a trap is exit 1 with run's
+        # TRAP line, not a usage error
+        assert main(["explain", source_file, "--input", "n=60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("TRAP: ")
+        assert err.count("\n") == 1
+
     def test_usage_is_two(self):
         with pytest.raises(SystemExit) as info:
             main(["run", "--not-a-flag"])

@@ -14,9 +14,12 @@ import io
 import json
 import os
 
+import pytest
+
+from repro.pipeline.trace import PipelineTrace
 from repro.reporting.jsonout import (COMPARE_SCHEMA, LOADGEN_SCHEMA,
                                      RUN_SCHEMA, SERVICE_ERROR_SCHEMA,
-                                     TABLES_SCHEMA)
+                                     TABLES_SCHEMA, run_to_dict)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -29,6 +32,18 @@ program golden
     a(i) = real(i) * 2.0
   end do
   print a(n)
+end program
+"""
+
+
+TRAPPING_SOURCE = """\
+program trapping
+  integer :: i
+  real :: a(8)
+  do i = 1, 9
+    a(i) = real(i)
+    print i
+  end do
 end program
 """
 
@@ -66,6 +81,40 @@ class TestRunGolden:
             {"action": "run", "source": GOLDEN_SOURCE})
         assert status == 200
         assert normalize_run(body) == load_golden("run.v1.json")
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled",
+                                        "specialized"])
+    def test_cli_run_json_matches_service_body(self, tmp_path, capsys,
+                                               engine):
+        # one execute helper behind both: a trap keeps its pre-trap
+        # counters and output, and every engine times its execution
+        from repro.cli import main
+        from repro.service.jobs import execute_request
+
+        path = tmp_path / "trapping.f"
+        path.write_text(TRAPPING_SOURCE)
+        assert main(["run", str(path), "--json", "--scheme", "NI",
+                     "--engine", engine]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        status, body = execute_request(
+            {"action": "run", "source": TRAPPING_SOURCE, "scheme": "NI",
+             "engine": engine})
+        assert status == 200
+        assert normalize_run(doc) == normalize_run(body)
+        assert doc["output"] == list(range(1, 9))
+        assert doc["counters"]["checks"] == 18
+        assert doc["phases"]["execute"] > 0
+        assert (doc["backend_cached"] is None) == (engine == "interp")
+
+    def test_parse_phase_includes_every_frontend_pass(self):
+        trace = PipelineTrace()
+        for name in ("parse", "lower", "inline", "rotate", "ssa"):
+            trace.record(name, 0.5)
+        trace.record("check-optimize", 2.0)
+        trace.record("execute", 4.0)
+        doc = run_to_dict("PRX-LLS+inl", None, [], trace=trace)
+        assert doc["phases"] == {"parse": 2.5, "optimize": 2.0,
+                                 "execute": 4.0}
 
     def test_schema_constants_are_stable(self):
         # renaming a published schema string is a breaking change
