@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import signal
 import socket
+import statistics
 import tempfile
 import time
 
@@ -103,6 +104,17 @@ class TestServing:
     def test_admin_metrics_values_aggregate(self, cluster):
         values = ServiceClient(cluster.admin_url).metrics_values()
         assert values.get("repro_cluster_shards") == 2.0
+
+    def test_admin_keepalive_healthz_is_prompt(self, cluster):
+        # with Nagle's algorithm on, each keep-alive response body
+        # waits about 40 ms for the client's delayed ACK
+        client = ServiceClient(cluster.admin_url)
+        seconds = []
+        for _ in range(21):
+            started = time.perf_counter()
+            client.healthz()
+            seconds.append(time.perf_counter() - started)
+        assert statistics.median(seconds) < 0.020, seconds
 
 
 @needs_reuseport

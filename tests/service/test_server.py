@@ -6,6 +6,8 @@ end-to-end.
 """
 
 import os
+import re
+import socket
 import threading
 import time
 
@@ -26,6 +28,23 @@ program demo
   print a(n)
 end program
 """
+
+
+#: One sample line of the text exposition format: a metric name, an
+#: optional label set whose values escape backslash, quote and newline,
+#: then the value.
+_LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
+_SAMPLE = re.compile(r'[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{%s(?:,%s)*\})? '
+                     r'(?P<value>\S+)' % (_LABEL, _LABEL))
+
+
+def _nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def _open_sockets(server):
+    with server._connections_lock:
+        return list(server._open_connections)
 
 
 @pytest.fixture
@@ -77,6 +96,26 @@ class TestEndpoints:
         assert status == 404
         status, doc = client.post_json("/nope", {})
         assert status == 404
+
+    def test_unknown_paths_share_one_endpoint_label(self, client):
+        # a client inventing paths must not grow /metrics, nor break
+        # its grammar with a quote in a label value
+        for n in range(200):
+            assert client.get("/missing/%d" % n)[0] == 404
+        assert client.get('/a"b')[0] == 404
+        assert client.post('/b"c', {})[0] == 404
+        samples = [line for line in
+                   client.get("/metrics")[1].decode("utf-8").splitlines()
+                   if line and not line.startswith("#")]
+        for line in samples:
+            match = _SAMPLE.fullmatch(line)
+            assert match, line
+            float(match.group("value"))
+        not_found = [line for line in samples
+                     if line.startswith("repro_requests_total{")
+                     and 'status="404"' in line]
+        assert not_found == [
+            'repro_requests_total{endpoint="other",status="404"} 202']
 
     def test_compile_run(self, client):
         status, doc = client.post_json("/compile", {
@@ -137,6 +176,26 @@ class TestEndpoints:
         values = client.metrics_values()
         assert values.get(
             'repro_cache_requests_total{result="hit"}', 0) >= 1
+
+
+class TestNoDelay:
+    """A response leaves as two writes, headers then body.  With Nagle's
+    algorithm on, the body waits for the client's delayed ACK of the
+    headers, about 40 ms on a keep-alive connection."""
+
+    def test_accepted_sockets_set_nodelay(self, service, client):
+        assert client.healthz()["status"] == "ok"
+        sockets = _open_sockets(service.httpd)
+        assert sockets  # the keep-alive connection is still open
+        assert all(_nodelay(sock) for sock in sockets)
+
+    def test_direct_listener_sets_nodelay(self, service):
+        host, port = service.listen_also()
+        direct = ServiceClient("http://%s:%d" % (host, port), timeout=30.0)
+        assert direct.healthz()["status"] == "ok"
+        sockets = _open_sockets(service._extra_servers[0])
+        assert sockets
+        assert all(_nodelay(sock) for sock in sockets)
 
 
 class TestTablesEndpoint:
