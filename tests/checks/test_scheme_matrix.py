@@ -11,10 +11,11 @@ covers:
 * Table 3's primed ablations NI', SE' and LLS' on the same programs;
 * the three cross-call kernels x every ``Scheme`` x both kinds, with
   and without ``inline``;
-* the fuzz generator's programs for seeds 1-6 x every ``Scheme`` x both
-  kinds.  Their loops have non-unit and negative steps (``do i = 0, n,
-  2``), so they reach the preheader arithmetic for a loop's last index
-  and trip count that the step-1 loops above never need.
+* the fuzz generator's programs for seeds 1-6 x every ``Scheme`` and
+  NI', SE', LLS' x both kinds.  Their loops have non-unit and negative
+  steps (``do i = 0, n, 2``), so they reach the preheader arithmetic
+  for a loop's last index and trip count that the step-1 loops above
+  never need.
 
 ``LO`` is trained on each program's test inputs (none for the
 generated programs).  A mismatch means the
@@ -70,6 +71,8 @@ def configurations():
         for kind in CheckKind:
             for scheme in Scheme:
                 yield program, OptimizerOptions(scheme, kind)
+            for scheme, mode in PRIMES:
+                yield program, OptimizerOptions(scheme, kind, mode)
 
 
 def fingerprint(program, options, cache):
@@ -112,7 +115,7 @@ class TestSchemeMatrix:
     def test_golden_covers_the_matrix(self, golden):
         keys = ["%s %s" % (program.name, options.label())
                 for program, options in configurations()]
-        assert len(keys) == len(set(keys)) == 544
+        assert len(keys) == len(set(keys)) == 580
         assert sorted(golden) == sorted(keys)
 
     def test_matrix_matches_golden(self, golden):
