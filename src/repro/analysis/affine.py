@@ -83,19 +83,23 @@ def compute_affine_forms(function: Function) -> AffineEnv:
 
 
 def _form_for(env: AffineEnv, inst, dest: Var) -> LinearExpr:
-    atomic = LinearExpr.symbol(dest.name)
-    if dest.type.value != "int":
-        return atomic
+    form = _affine_form(env, inst) if dest.type.value == "int" else None
+    return form if form is not None else LinearExpr.symbol(dest.name)
+
+
+def _affine_form(env: AffineEnv, inst) -> Optional[LinearExpr]:
+    """The instruction's result as an affine form, or None when it is
+    not an affine combination."""
     if isinstance(inst, Assign):
-        return _value_form(env, inst.src, atomic)
+        return _value_form(env, inst.src)
     if isinstance(inst, UnOp) and inst.op == "neg":
-        operand = _value_form(env, inst.operand, None)
-        return -operand if operand is not None else atomic
+        operand = _value_form(env, inst.operand)
+        return -operand if operand is not None else None
     if isinstance(inst, BinOp):
-        lhs = _value_form(env, inst.lhs, None)
-        rhs = _value_form(env, inst.rhs, None)
+        lhs = _value_form(env, inst.lhs)
+        rhs = _value_form(env, inst.rhs)
         if lhs is None or rhs is None:
-            return atomic
+            return None
         if inst.op == "add":
             return lhs + rhs
         if inst.op == "sub":
@@ -105,17 +109,17 @@ def _form_for(env: AffineEnv, inst, dest: Var) -> LinearExpr:
                 return rhs * lhs.const
             if rhs.is_constant():
                 return lhs * rhs.const
-    return atomic
+    return None
 
 
-def _value_form(env: AffineEnv, value: Value,
-                default: Optional[LinearExpr]) -> Optional[LinearExpr]:
+def _value_form(env: AffineEnv, value: Value) -> Optional[LinearExpr]:
     if isinstance(value, Const):
         if isinstance(value.value, int):
             return LinearExpr.constant(value.value)
-        return default
+        return None
     if isinstance(value, Var):
         if value.type.value != "int":
-            return default
-        return env.forms.get(value.name, LinearExpr.symbol(value.name))
-    return default
+            return None
+        form = env.forms.get(value.name)
+        return form if form is not None else LinearExpr.symbol(value.name)
+    return None

@@ -20,6 +20,7 @@ implication the paper found to matter).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..symbolic import LinearExpr
@@ -69,13 +70,19 @@ class CheckImplicationGraph:
         self.universe = universe
         self.store = store or ImplicationStore()
         self.mode = mode
-        self._dist = self._shortest_paths()
+        self._rows = self._shortest_paths()
+        # each family's members and their bounds, strongest first
+        self._members = [universe.family_members(family)
+                         for family in range(len(universe.families))]
+        self._bounds = [[universe.checks[cid].bound for cid in members]
+                        for members in self._members]
         self._weaker_cache: Dict[Tuple[int, bool], FrozenSet[int]] = {}
 
     # -- family graph -----------------------------------------------------
 
-    def _shortest_paths(self) -> Dict[Tuple[int, int], int]:
-        """All-pairs shortest path weights over the family edge graph.
+    def _shortest_paths(self) -> Dict[int, Dict[int, int]]:
+        """All-pairs shortest path weights over the family edge graph,
+        one row per source family: ``rows[source][target]``.
 
         Only families touched by explicit edges participate; the
         implicit same-family distance 0 is handled in :meth:`as_strong`.
@@ -91,7 +98,7 @@ class CheckImplicationGraph:
             adjacency.setdefault(src, []).append((dst, weight))
             nodes.add(src)
             nodes.add(dst)
-        dist: Dict[Tuple[int, int], int] = {}
+        rows: Dict[int, Dict[int, int]] = {}
         for source in nodes:
             best = {source: 0}
             # Bellman-Ford: |nodes| - 1 relaxation rounds
@@ -105,10 +112,17 @@ class CheckImplicationGraph:
                             changed = True
                 if not changed:
                     break
-            for target, cost in best.items():
-                if target != source:
-                    dist[(source, target)] = cost
-        return dist
+            row = {target: cost for target, cost in best.items()
+                   if target != source}
+            if row:
+                rows[source] = row
+        return rows
+
+    def _path(self, source: int, target: int) -> Optional[int]:
+        """The shortest path weight between two distinct families, or
+        None when there is no path."""
+        row = self._rows.get(source)
+        return row.get(target) if row else None
 
     # -- the as-strong-as relation --------------------------------------------
 
@@ -128,7 +142,7 @@ class CheckImplicationGraph:
             return strong.bound <= weak.bound
         fam_s = self.universe.family_of[strong_id]
         fam_w = self.universe.family_of[weak_id]
-        path = self._dist.get((fam_s, fam_w))
+        path = self._path(fam_s, fam_w)
         if path is None:
             return False
         return strong.bound + path <= weak.bound
@@ -142,20 +156,34 @@ class CheckImplicationGraph:
         own family -- the stricter generation rule anticipatability
         uses (section 3.2), which guarantees a check is never inserted
         before a definition of one of its symbols.
+
+        As-strong-as is a threshold on the weaker check's bound, so the
+        answer is a suffix of each reachable family's members sorted by
+        bound: one bisect in the check's own family (unless the mode
+        turns within-family implication off) and one per family in its
+        shortest-path row.  The check goes in first, then the rest by
+        id, or by bound with ``family_only``: the order in which the
+        definition enumerates them.
         """
         key = (check_id, family_only)
         cached = self._weaker_cache.get(key)
         if cached is not None:
             return cached
-        result = {check_id}
         family = self.universe.family_of[check_id]
-        if family_only:
-            candidates = self.universe.family_members(family)
-        else:
-            candidates = range(len(self.universe))
-        for other in candidates:
-            if other != check_id and self.as_strong(check_id, other):
-                result.add(other)
+        bound = self.universe.checks[check_id].bound
+        reachable: List[Tuple[int, int]] = []
+        if self.mode is ImplicationMode.ALL:
+            reachable.append((family, 0))
+        if not family_only and self.mode is not ImplicationMode.NONE:
+            reachable.extend(self._rows.get(family, {}).items())
+        weaker: List[int] = []
+        for target, path in reachable:
+            start = bisect_left(self._bounds[target], bound + path)
+            weaker.extend(self._members[target][start:])
+        if not family_only:
+            weaker.sort()
+        result = {check_id}
+        result.update(weaker)
         frozen = frozenset(result)
         self._weaker_cache[key] = frozen
         return frozen
@@ -181,7 +209,7 @@ class CheckImplicationGraph:
             if candidate_family == family:
                 score = self.universe.check_of(cid).bound
             elif cross_family:
-                path = self._dist.get((candidate_family, family))
+                path = self._path(candidate_family, family)
                 if path is None:
                     continue
                 score = self.universe.check_of(cid).bound + path

@@ -95,8 +95,11 @@ class RangeCheckOptimizer:
 
     Step 3 is data: :attr:`SCHEME_STEPS` lists each scheme's insertion
     steps in order (the INX rewrite goes first under ``CheckKind.INX``),
-    the analyses are recomputed before every step, and steps 4 and 5
-    then run for every scheme.
+    and steps 4 and 5 then run for every scheme.  Before each step the
+    previous step's analyses are dropped; each is built on its first
+    read within the step, which every step makes before it edits the
+    function.  A step that reads no loop or induction analysis does not
+    pay for one.
     """
 
     def __init__(self, function: Function, options: OptimizerOptions) -> None:
@@ -112,11 +115,33 @@ class RangeCheckOptimizer:
     # -- analysis plumbing ------------------------------------------------
 
     def _refresh_analyses(self) -> None:
-        self._env = compute_affine_forms(self.function)
-        domtree = DominatorTree(self.function)
-        self._forest = LoopForest(self.function, domtree)
-        self._induction = InductionAnalysis(self.function, self._forest,
-                                            self._env)
+        self._env = None
+        self._forest = None
+        self._induction = None
+
+    @property
+    def env(self) -> AffineEnv:
+        """The affine forms, built on first read."""
+        if self._env is None:
+            self._env = compute_affine_forms(self.function)
+        return self._env
+
+    @property
+    def forest(self) -> LoopForest:
+        """The loop forest over a fresh dominator tree, built on first
+        read."""
+        if self._forest is None:
+            self._forest = LoopForest(self.function,
+                                      DominatorTree(self.function))
+        return self._forest
+
+    @property
+    def induction(self) -> InductionAnalysis:
+        """The induction analysis, built on first read."""
+        if self._induction is None:
+            self._induction = InductionAnalysis(self.function, self.forest,
+                                                self.env)
+        return self._induction
 
     def _make_analysis(self) -> CheckAnalysis:
         universe = universe_from_function(self.function)
@@ -168,9 +193,10 @@ class RangeCheckOptimizer:
 
     def inx(self) -> None:
         """Rewrite checks to induction expressions (INX-checks)."""
-        materializer = BasicVarMaterializer(self.function, self._forest)
+        induction = self.induction
+        materializer = BasicVarMaterializer(self.function, self.forest)
         self.stats.inx_rewritten = rewrite_checks_to_inx(
-            self.function, self._induction, self._env, materializer)
+            self.function, induction, self.env, materializer)
 
     def strengthen(self) -> None:
         """CS: strengthen checks in place (Gupta)."""
@@ -199,19 +225,19 @@ class RangeCheckOptimizer:
     def lospre(self) -> None:
         """LO: profile-guided min cut over LCM's LATER region.  With no
         profile it degrades to the latest placement verbatim."""
+        env = self.env
         analysis = self._make_analysis()
         insertions, cuts = lospre_insertions(analysis, self.edge_gen,
                                              self.options.profile)
         self.stats.lospre_cuts += cuts
-        self.stats.inserted += apply_insertions(analysis, self._env,
-                                                insertions)
+        self.stats.inserted += apply_insertions(analysis, env, insertions)
 
     def spec(self) -> None:
         """SPEC: version loops behind a convex-hull envelope guard.  The
         preheader inserter later skips the checked slow-path clones, so
         they stay NI-exact."""
-        versioner = SpeculativeVersioner(self.function, self._env,
-                                         self._forest, self._induction)
+        versioner = SpeculativeVersioner(self.function, self.env,
+                                         self.forest, self.induction)
         versioner.run()
         self.stats.speculated += versioner.versioned
 
@@ -222,14 +248,14 @@ class RangeCheckOptimizer:
         self.stats.trap_reports.extend(reports)
 
     def _place(self, placement) -> None:
+        env = self.env
         analysis = self._make_analysis()
         insertions = placement(analysis, self.edge_gen)
-        self.stats.inserted += apply_insertions(analysis, self._env,
-                                                insertions)
+        self.stats.inserted += apply_insertions(analysis, env, insertions)
 
     def _hoist(self, inserter_class, substitute_linear: bool) -> None:
-        inserter = inserter_class(self._make_analysis(), self._env,
-                                  self._forest, self._induction, self.store)
+        inserter = inserter_class(self._make_analysis(), self.env,
+                                  self.forest, self.induction, self.store)
         inserter.run(substitute_linear)
         self.stats.inserted += inserter.inserted
         for edge, checks in inserter.edge_gen.items():

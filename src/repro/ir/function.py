@@ -83,8 +83,9 @@ class Function:
         return preds
 
     def predecessors(self, block: BasicBlock) -> List[BasicBlock]:
-        """Predecessors of one block."""
-        return self.predecessor_map()[block]
+        """Predecessors of one block, in :meth:`predecessor_map` order."""
+        return [pred for pred in self.blocks
+                for succ in pred.successors() if succ is block]
 
     def reachable_blocks(self) -> List[BasicBlock]:
         """Blocks reachable from the entry, in depth-first order."""

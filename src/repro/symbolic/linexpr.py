@@ -36,7 +36,7 @@ class LinearExpr:
     def __init__(self, terms: Mapping[str, Coefficient] = (),
                  const: int = 0) -> None:
         cleaned: Dict[str, Coefficient] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         for sym, coeff in items:
             if not isinstance(coeff, int):
                 raise TypeError("coefficient for %r must be int, got %r"
@@ -49,7 +49,7 @@ class LinearExpr:
             raise TypeError("constant term must be int, got %r" % (const,))
         self._terms: Dict[str, Coefficient] = cleaned
         self._const = const
-        self._hash = hash((tuple(sorted(cleaned.items())), const))
+        self._hash = None  # computed on first __hash__
 
     def __getstate__(self):
         # the cached hash is seed-dependent; recompute after unpickling
@@ -57,7 +57,7 @@ class LinearExpr:
 
     def __setstate__(self, state) -> None:
         self._terms, self._const = state
-        self._hash = hash((tuple(sorted(self._terms.items())), self._const))
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -188,6 +188,9 @@ class LinearExpr:
         return self._terms == other._terms and self._const == other._const
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((tuple(sorted(self._terms.items())),
+                               self._const))
         return self._hash
 
     def __bool__(self) -> bool:

@@ -44,14 +44,14 @@ class Polynomial:
 
     def __init__(self, coeffs: Mapping[Monomial, int] = ()) -> None:
         cleaned: Dict[Monomial, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for mono, coeff in items:
             if coeff:
                 cleaned[mono] = cleaned.get(mono, 0) + coeff
                 if cleaned[mono] == 0:
                     del cleaned[mono]
         self._coeffs = cleaned
-        self._hash = hash(tuple(sorted(cleaned.items())))
+        self._hash = None  # computed on first __hash__
 
     def __getstate__(self):
         # the cached hash is seed-dependent; recompute after unpickling
@@ -59,7 +59,7 @@ class Polynomial:
 
     def __setstate__(self, state) -> None:
         self._coeffs = state
-        self._hash = hash(tuple(sorted(self._coeffs.items())))
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -235,6 +235,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(self._coeffs.items())))
         return self._hash
 
     def __bool__(self) -> bool:

@@ -1,6 +1,8 @@
 """Tests for families and the Check Implication Graph, including the
 paper's Figures 3 and 4."""
 
+import random
+
 from repro.checks import (CanonicalCheck, CheckImplicationGraph,
                           CheckUniverse, ImplicationMode, ImplicationStore)
 from repro.symbolic import LinearExpr
@@ -199,3 +201,45 @@ class TestClosures:
         cig = CheckImplicationGraph(universe)
         assert cig.strongest_implying(
             weak, frozenset([other]), cross_family=True) is None
+
+
+class TestWeakerSetDefinition:
+    """weaker_set against its definition on seeded random universes."""
+
+    def random_graph(self, rng):
+        families = ["f%d" % index for index in range(rng.randint(1, 6))]
+        checks = [c({name: 1}, rng.randint(-8, 8)) for name in families
+                  for _ in range(rng.randint(1, 8))]
+        rng.shuffle(checks)  # ids interleave families and bounds
+        universe = CheckUniverse()
+        universe.add_all(checks)
+        # edges may name families the universe never saw
+        names = families + ["absent0", "absent1"]
+        store = ImplicationStore()
+        for _ in range(rng.randint(0, 12)):
+            store.add_edge(LinearExpr({rng.choice(names): 1}, 0),
+                           LinearExpr({rng.choice(names): 1}, 0),
+                           rng.randint(-3, 6))
+        return universe, store
+
+    def test_matches_as_strong(self):
+        rng = random.Random(1995)
+        for _ in range(300):
+            universe, store = self.random_graph(rng)
+            for mode in ImplicationMode:
+                cig = CheckImplicationGraph(universe, store, mode)
+                for check_id in range(len(universe)):
+                    family = universe.family_of[check_id]
+                    for family_only in (False, True):
+                        if family_only:
+                            candidates = universe.family_members(family)
+                        else:
+                            candidates = range(len(universe))
+                        # the check first, then candidates in order
+                        expected = {check_id}
+                        for other in candidates:
+                            if cig.as_strong(check_id, other):
+                                expected.add(other)
+                        weaker = cig.weaker_set(check_id, family_only)
+                        assert weaker == expected
+                        assert list(weaker) == list(frozenset(expected))

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.benchsuite.registry import all_programs
 from repro.checks import (CheckKind, ImplicationMode, OptimizerOptions,
                           Scheme, count_checks, optimize_module)
+from repro.checks.optimizer import InductionAnalysis, LoopForest
 from repro.ir import Check, Trap, verify_module
+from repro.pipeline.driver import compile_source
 
 from ..conftest import (ALL_KINDS, ALL_MODES, ALL_SCHEMES, compile_and_run,
                         lower_ssa, run_baseline)
@@ -241,3 +244,31 @@ class TestStats:
             total.merge(s)
         assert total.checks_before == sum(
             s.checks_before for s in stats.values())
+
+
+class TestLazyAnalyses:
+    """The loop forest and the induction analysis are built only for the
+    steps that read them: the hoists, SPEC and the INX rewrite."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("scheme,builds", [
+        (Scheme.NI, 0), (Scheme.CS, 0), (Scheme.LNI, 0), (Scheme.SE, 0),
+        (Scheme.VR, 0), (Scheme.LI, 1), (Scheme.LLS, 1), (Scheme.ALL, 1),
+        (Scheme.MCM, 1), (Scheme.LO, 1), (Scheme.SPEC, 2)])
+    def test_builds_per_function(self, monkeypatch, kind, scheme, builds):
+        logs = {}
+        for cls in (InductionAnalysis, LoopForest):
+            log = logs[cls.__name__] = []
+
+            def counting(function, *args, _cls=cls, _log=log):
+                _log.append(function.name)
+                return _cls(function, *args)
+
+            monkeypatch.setattr("repro.checks.optimizer." + cls.__name__,
+                                counting)
+        compiled = compile_source(all_programs()[0].source,
+                                  OptimizerOptions(scheme, kind))
+        expected = builds + (kind is CheckKind.INX)
+        for log in logs.values():
+            assert sorted(log) == sorted(list(compiled.optimize_stats)
+                                         * expected)

@@ -1,5 +1,8 @@
 """Unit and property tests for canonical linear expressions."""
 
+import pickle
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -205,3 +208,20 @@ class TestProperties:
         clone = LinearExpr(dict(a.terms), a.const)
         assert a == clone
         assert hash(a) == hash(clone)
+
+
+class TestInputsAndPickling:
+    def test_any_mapping(self):
+        terms = {"i": 2, "n": -1}
+        assert LinearExpr(types.MappingProxyType(terms), 3) == \
+            LinearExpr(terms, 3)
+
+    def test_pairs(self):
+        assert LinearExpr([("i", 2), ("i", 1)], 0) == LinearExpr({"i": 3})
+
+    def test_hash_is_not_pickled(self):
+        expr = LinearExpr({"i": 2, "n": -1}, 3)
+        hash(expr)
+        assert pickle.dumps(expr) == \
+            pickle.dumps(LinearExpr({"i": 2, "n": -1}, 3))
+        assert hash(pickle.loads(pickle.dumps(expr))) == hash(expr)

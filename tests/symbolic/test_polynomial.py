@@ -1,5 +1,8 @@
 """Unit and property tests for multivariate polynomials."""
 
+import pickle
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -156,3 +159,17 @@ class TestProperties:
         inner = dict(env)
         inner["h"] = 2
         assert substituted.evaluate(env) == a.evaluate(inner)
+
+
+class TestInputsAndPickling:
+    COEFFS = {(("h", 2),): 3, (("n", 1),): -1, (): 4}
+
+    def test_any_mapping(self):
+        assert Polynomial(types.MappingProxyType(self.COEFFS)) == \
+            Polynomial(self.COEFFS)
+
+    def test_hash_is_not_pickled(self):
+        poly = Polynomial(self.COEFFS)
+        hash(poly)
+        assert pickle.dumps(poly) == pickle.dumps(Polynomial(self.COEFFS))
+        assert hash(pickle.loads(pickle.dumps(poly))) == hash(poly)
