@@ -58,7 +58,7 @@ def fallbacks(module):
             plans = _plan_loops(function)
             destruct_ssa(function)
         try:
-            text = _FlatEmitter(module, function, plans, False).emit()
+            text = _FlatEmitter(module, function, plans).emit()
             compile(text, "<probe>", "exec")
         except (_Unsupported, SyntaxError) as error:
             found.append((function.name, str(error)))

@@ -104,16 +104,3 @@ class DominatorTree:
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True when ``a`` dominates ``b`` and ``a is not b``."""
         return a is not b and self.dominates(a, b)
-
-    def dom_tree_preorder(self) -> List[BasicBlock]:
-        """Blocks in dominator-tree preorder (entry first)."""
-        order: List[BasicBlock] = []
-        entry = self.function.entry
-        if entry is None:
-            return order
-        stack = [entry]
-        while stack:
-            block = stack.pop()
-            order.append(block)
-            stack.extend(reversed(self.children.get(block, [])))
-        return order

@@ -47,9 +47,6 @@ class Interval:
     def constant(value: int) -> "Interval":
         return Interval(value, value)
 
-    def is_top(self) -> bool:
-        return self.lo == NEG_INF and self.hi == POS_INF
-
     def is_empty(self) -> bool:
         return self.lo > self.hi
 

@@ -36,10 +36,6 @@ class Loop:
             node = node.parent
         return depth
 
-    def contains_block(self, block: BasicBlock) -> bool:
-        """True when ``block`` belongs to this loop (or a nested one)."""
-        return block in self.blocks
-
     def exit_edges(self) -> List[tuple]:
         """Edges ``(inside_block, outside_block)`` leaving the loop."""
         edges = []

@@ -57,7 +57,6 @@ from ..interp.counters import ExecutionCounters
 from ..interp.machine import Machine
 from ..interp.values import ArrayStorage
 from ..ir.basicblock import BasicBlock
-from ..ir.edges import edge_target
 from ..ir.function import Function, Module
 from ..ir.instructions import (Assign, BinOp, Call, Check, CondJump, Jump,
                                Load, Phi, Print, Return, SpecGuard, Store,
@@ -139,15 +138,9 @@ def _is_synthetic_jump(inst) -> bool:
 
 
 class _FunctionEmitter:
-    def __init__(self, module: Module, function: Function,
-                 collect_edges: bool = False) -> None:
+    def __init__(self, module: Module, function: Function) -> None:
         self.module = module
         self.function = function
-        #: emit per-edge profile bumps at every terminator.  Default
-        #: off: the generated source must stay byte-identical for the
-        #: cache, and the bumps are pure overhead outside training runs.
-        self.collect_edges = collect_edges
-        self._cur_block = function.entry
         self.lines: List[str] = []
         self.block_fns: Dict[str, str] = {
             block.name: "_blk_%d" % idx
@@ -327,13 +320,6 @@ class _FunctionEmitter:
                       "".join(", " + p for p in params)))
         self._line(1, "_counters = _rt.counters")
         self._line(1, "_max_steps = _rt.max_steps")
-        if self.collect_edges:
-            # edge attribution mirrors the interpreter: one entry
-            # pseudo-edge bump per call, then one bump per taken
-            # branch, with landing blocks collapsed at codegen time
-            self._line(1, "_edges = _counters.edges")
-            self._line(1, "_edges[(%r, %r, %r)] += 1"
-                       % (function.name, "", function.entry.name))
         has_calls = any(isinstance(inst, Call)
                         for block in function.blocks
                         for inst in block.instructions)
@@ -419,20 +405,7 @@ class _FunctionEmitter:
                 cost += 1
         return cost, checks, guarded, phi_moves
 
-    def _edge_bump(self, target: BasicBlock,
-                   src: Optional[BasicBlock] = None) -> str:
-        """The profile bump for taking the edge to ``target`` from
-        ``src`` (default: the block currently being emitted), looking
-        through landing blocks so destructed modules record
-        original-CFG edges.  Recursive emitters (the flat structurer)
-        must pass ``src`` explicitly: emitting one branch arm resets
-        the current block before the other arm's bump is written."""
-        return "_edges[(%r, %r, %r)] += 1" % (
-            self.function.name, (src or self._cur_block).name,
-            edge_target(target).name)
-
     def _emit_block(self, block: BasicBlock) -> None:
-        self._cur_block = block
         self._temp = 0
         self._line(1, "def %s():  # %s"
                    % (self.block_fns[block.name], block.name))
@@ -556,18 +529,8 @@ class _FunctionEmitter:
             line(indent, "%s(%s)" % (_fn_ref(inst.callee), ", ".join(args)))
             line(indent, "_rt.depth -= 1")
         elif isinstance(inst, Jump):
-            if self.collect_edges and not _is_synthetic_jump(inst):
-                line(indent, self._edge_bump(inst.target))
             line(indent, "return %s" % self.block_fns[inst.target.name])
         elif isinstance(inst, CondJump):
-            if self.collect_edges:
-                line(indent, "if %s:" % self._value(inst.cond))
-                line(indent + 1, self._edge_bump(inst.if_true))
-                line(indent + 1, "return %s"
-                     % self.block_fns[inst.if_true.name])
-                line(indent, self._edge_bump(inst.if_false))
-                line(indent, "return %s" % self.block_fns[inst.if_false.name])
-                return
             line(indent, "return %s if %s else %s"
                  % (self.block_fns[inst.if_true.name],
                     self._value(inst.cond),
@@ -636,20 +599,17 @@ class CompiledPythonModule:
     """
 
     def __init__(self, module: Module,
-                 source: Optional[str] = None,
-                 collect_edges: bool = False) -> None:
+                 source: Optional[str] = None) -> None:
         if module.main is None:
             raise IRError("module has no main program")
         self.module = module
-        self.collect_edges = collect_edges
-        self.source = self._translate(module, collect_edges) \
-            if source is None else source
+        self.source = self._translate(module) if source is None else source
         self._namespace: Dict[str, object] = {"_InterpError": InterpError}
         code = compile(self.source, "<repro-pybackend>", "exec")
         exec(code, self._namespace)
 
     @staticmethod
-    def _translate(module: Module, collect_edges: bool = False) -> str:
+    def _translate(module: Module) -> str:
         pieces = [_PRELUDE]
         for function in module:
             for block in function.blocks:
@@ -657,16 +617,13 @@ class CompiledPythonModule:
                     raise IRError(
                         "the Python back-end needs destructed SSA "
                         "(function %s still has phis)" % function.name)
-            pieces.append(_FunctionEmitter(module, function,
-                                           collect_edges).emit())
+            pieces.append(_FunctionEmitter(module, function).emit())
         return "\n\n".join(pieces)
 
     def run(self, inputs: Optional[Mapping[str, Number]] = None,
             max_steps: int = 50_000_000) -> _Runtime:
         """Execute the translated main program."""
         runtime = _Runtime(self.module, inputs or {}, max_steps)
-        if self.collect_edges:
-            runtime.counters.enable_edge_collection()
         main = self.module.main
         args = [runtime]
         for param in main.params:
@@ -683,8 +640,7 @@ class CompiledPythonModule:
         return runtime
 
 
-def compile_to_python(module: Module,
-                      collect_edges: bool = False) -> CompiledPythonModule:
+def compile_to_python(module: Module) -> CompiledPythonModule:
     """Translate a (phi-free) module to executable Python."""
     faults.fire("backend.compile")
-    return CompiledPythonModule(module, collect_edges=collect_edges)
+    return CompiledPythonModule(module)

@@ -51,7 +51,6 @@ from ..analysis.loops import Loop, LoopForest
 from ..analysis.postdom import PostDominators
 from ..induction.tripcount import _phi_edges, find_loop_iv
 from ..ir.basicblock import BasicBlock
-from ..ir.edges import edge_target, is_landing_block
 from ..ir.function import Function, Module
 from ..ir.instructions import (Assign, BinOp, Check, CondJump, Jump, Load,
                                Phi, Return, Store, UnOp)
@@ -60,8 +59,8 @@ from ..ir.values import Const, Value, Var
 from ..ssa import destruct_ssa
 from ..symbolic import LinearExpr
 from .pybackend import (_PRELUDE, CompiledPythonModule, _FunctionEmitter,
-                        _array_ref, _fn_ref, _is_phi_copy,
-                        _is_synthetic_jump, _mangle)
+                        _array_ref, _is_phi_copy, _is_synthetic_jump,
+                        _mangle)
 
 #: Version of the specialized translation scheme; part of the
 #: per-engine BackendCache key (suffix ``-sp<N>``), independent of the
@@ -506,9 +505,9 @@ class _FlatEmitter(_FunctionEmitter):
     control flow, plus vector kernels for planned loops."""
 
     def __init__(self, module: Module, function: Function,
-                 plans: Optional[Dict[BasicBlock, _LoopPlan]] = None,
-                 collect_edges: bool = False) -> None:
-        super().__init__(module, function, collect_edges)
+                 plans: Optional[Dict[BasicBlock, _LoopPlan]] = None
+                 ) -> None:
+        super().__init__(module, function)
         self.plans = plans or {}
         self._kernel_id = 0
 
@@ -675,7 +674,6 @@ class _FlatEmitter(_FunctionEmitter):
 
     def _emit_flat_block(self, block: BasicBlock, stop: Optional[BasicBlock],
                          indent: int) -> None:
-        self._cur_block = block
         self._temp = 0
         self._line(indent, "# %s" % block.name)
         if block not in self._precharged:
@@ -711,25 +709,13 @@ class _FlatEmitter(_FunctionEmitter):
         elif isinstance(term, Return):
             self._line(indent, "return None")
         elif isinstance(term, Jump):
-            if self.collect_edges and not _is_synthetic_jump(term):
-                self._line(indent, self._edge_bump(term.target))
             self._goto(term.target, stop, indent)
         elif isinstance(term, CondJump):
             join = self._ipdom(block)
-            # capture both bumps now: emitting the true arm recurses
-            # and leaves _cur_block pointing at its last block
-            bump_true = self._edge_bump(term.if_true, block) \
-                if self.collect_edges else None
-            bump_false = self._edge_bump(term.if_false, block) \
-                if self.collect_edges else None
             self._line(indent, "if %s:" % self._value(term.cond))
-            if bump_true is not None:
-                self._line(indent + 1, bump_true)
             self._emit_branch(term.if_true, join, indent + 1)
             self._line(indent, "else:")
             before = len(self.lines)
-            if bump_false is not None:
-                self._line(indent + 1, bump_false)
             self._goto(term.if_false, join, indent + 1)
             if len(self.lines) == before:
                 self.lines.pop()  # empty else arm
@@ -752,7 +738,7 @@ class _FlatEmitter(_FunctionEmitter):
         stats = self._validate_plan(plan, loop) if plan is not None and \
             exit_block is not None else None
         if stats is not None:
-            result = self._emit_kernel(plan, stats, exit_block, indent)
+            result = self._emit_kernel(plan, stats, indent)
             self._line(indent, "if %s < 0:" % result)
             self._emit_scalar_loop(loop, header, exit_block, indent + 1)
         else:
@@ -812,34 +798,13 @@ class _FlatEmitter(_FunctionEmitter):
         return (hdr_fuel, hdr_cost[0], chain_fuel, chain_cost[0],
                 chain_cost[1], chain_cost[3])
 
-    def _kernel_edge_bumps(self, plan: _LoopPlan,
-                           exit_block: BasicBlock):
-        """Closed-form edge attribution for a vectorized loop: every
-        original-CFG edge of one iteration bumps by the trip count, the
-        header's exit edge bumps once (zero-trip loops take only the
-        exit edge), mirroring the scalar loop exactly."""
-        header = plan.header
-        seq = [header]
-        cur = plan.body_block
-        while cur is not header:
-            seq.append(cur)
-            cur = cur.terminator.target
-        seq.append(header)
-        pairs = [(src.name, edge_target(dst).name)
-                 for src, dst in zip(seq, seq[1:])
-                 if not is_landing_block(src)]
-        return pairs, (header.name, edge_target(exit_block).name)
-
-    def _emit_kernel(self, plan: _LoopPlan, stats,
-                     exit_block: BasicBlock, indent: int) -> str:
+    def _emit_kernel(self, plan: _LoopPlan, stats, indent: int) -> str:
         hdr_fuel, hdr_cost, chain_fuel, chain_cost, n_checks, n_phis = stats
         kid = self._kernel_id
         self._kernel_id += 1
         kname, rname = "_vk%d" % kid, "_vr%d" % kid
-        edge_bumps = self._kernel_edge_bumps(plan, exit_block) \
-            if self.collect_edges else None
         ker = _KernelWriter(self, plan, hdr_fuel, hdr_cost, chain_fuel,
-                            chain_cost, n_checks, n_phis, edge_bumps)
+                            chain_cost, n_checks, n_phis)
         lines = ker.render()
         self._line(indent, "def %s():" % kname)
         for ind, text in lines:
@@ -852,11 +817,10 @@ class _KernelWriter:
     """Renders one vector kernel body as (indent, text) lines."""
 
     def __init__(self, emitter: _FlatEmitter, plan: _LoopPlan, hdr_fuel,
-                 hdr_cost, chain_fuel, chain_cost, n_checks, n_phis,
-                 edge_bumps=None) -> None:
+                 hdr_cost, chain_fuel, chain_cost, n_checks,
+                 n_phis) -> None:
         self.emitter = emitter
         self.plan = plan
-        self.edge_bumps = edge_bumps
         self.hdr_fuel = hdr_fuel
         self.hdr_cost = hdr_cost
         self.chain_fuel = chain_fuel
@@ -1016,19 +980,6 @@ class _KernelWriter:
             out.append((0, "_counters.checks += %d * _t" % self.n_checks))
         if self.n_phis:
             out.append((0, "_counters.phis += %d * _t" % self.n_phis))
-        if self.edge_bumps is not None:
-            # every bail above already returned -1, so from here the
-            # kernel commits: charge each iteration edge in closed form
-            # and the header's exit edge once (the only edge a
-            # zero-trip loop takes)
-            fn = self.emitter.function.name
-            pairs, exit_pair = self.edge_bumps
-            out.append((0, "if _t:"))
-            for src, dst in pairs:
-                out.append((1, "_edges[(%r, %r, %r)] += _t"
-                            % (fn, src, dst)))
-            out.append((0, "_edges[(%r, %r, %r)] += 1"
-                        % (fn, exit_pair[0], exit_pair[1])))
         fold: List[str] = []
         if self.reductions:
             # replay the accumulator chain as a sequential fold over the
@@ -1222,7 +1173,7 @@ class CompiledSpecializedModule(CompiledPythonModule):
     """
 
     @staticmethod
-    def _translate(module: Module, collect_edges: bool = False) -> str:
+    def _translate(module: Module) -> str:
         pieces = [_PRELUDE, _SPECIALIZED_PRELUDE]
         all_flat = True
         for function in module:
@@ -1232,14 +1183,12 @@ class CompiledSpecializedModule(CompiledPythonModule):
             else:
                 plans = {}
             try:
-                text = _FlatEmitter(module, function, plans,
-                                    collect_edges).emit()
+                text = _FlatEmitter(module, function, plans).emit()
                 compile(text, "<repro-specialized>", "exec")
             except (_Unsupported, SyntaxError):
                 # same generated module, shared fn_ naming: threaded
                 # and flat functions call each other freely
-                text = _FunctionEmitter(module, function,
-                                        collect_edges).emit()
+                text = _FunctionEmitter(module, function).emit()
                 all_flat = False
             pieces.append(text)
         # ndarray-backed REAL storage is only sound when every emitted
@@ -1250,8 +1199,7 @@ class CompiledSpecializedModule(CompiledPythonModule):
         return "\n\n".join(pieces)
 
 
-def compile_to_specialized(module: Module, collect_edges: bool = False
-                           ) -> CompiledSpecializedModule:
+def compile_to_specialized(module: Module) -> CompiledSpecializedModule:
     """Translate a module (SSA or phi-free) to flat/vectorized Python."""
     faults.fire("backend.compile")
-    return CompiledSpecializedModule(module, collect_edges=collect_edges)
+    return CompiledSpecializedModule(module)

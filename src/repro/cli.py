@@ -37,7 +37,7 @@ from . import __version__
 from .checks.config import CheckKind, ImplicationMode, OptimizerOptions, Scheme
 from .errors import RangeTrap, ReproError
 from .ir.printer import format_module
-from .pipeline.driver import compile_source
+from .pipeline.driver import ENGINE_NAMES, compile_source
 from .pipeline.stats import measure_baseline
 
 EXIT_OK = 0
@@ -49,9 +49,6 @@ EXIT_INTERNAL = 3
 def _usage_exit(message: str) -> "SystemExit":
     print("error: %s" % message, file=sys.stderr)
     return SystemExit(EXIT_USAGE)
-
-
-ENGINE_NAMES = ("interp", "compiled", "specialized")
 
 
 def _validate_engine(command: str, engine: str) -> str:
@@ -130,18 +127,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     _validate_engine("run", args.engine)
+    if args.profile_out and args.engine != "interp":
+        raise _usage_exit("run: --profile-out records edge counts on "
+                          "the interpreter only; got --engine %s"
+                          % args.engine)
     with open(args.file) as handle:
         source = handle.read()
     inputs = _parse_inputs(args.input)
     options = _profile_options("run", args.profile, source, inputs,
                                _options(args))
-    collect_edges = bool(args.profile_out)
     program = compile_source(source, options,
                              optimize=not args.no_optimize,
                              rotate_loops=args.rotate_loops,
                              verify_ir=args.verify_ir)
     execution = program.execute(inputs, args.engine,
-                                collect_edges=collect_edges)
+                                collect_edges=bool(args.profile_out))
     trap = execution.trap
     if args.profile_out:
         if trap is None:
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--profile-out", metavar="PATH",
                             help="collect per-edge execution counts "
                                  "during the run and write the training "
-                                 "artifact to PATH")
+                                 "artifact to PATH (interpreter only)")
     run_parser.set_defaults(handler=_cmd_run)
 
     dump_parser = commands.add_parser("dump", help="print optimized IR")

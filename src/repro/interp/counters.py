@@ -16,7 +16,7 @@ Table 1.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
 
@@ -25,7 +25,7 @@ class ExecutionCounters:
 
     __slots__ = ("instructions", "checks", "phis", "guarded_checks",
                  "guard_skipped", "spec_guards", "spec_misses",
-                 "by_opcode", "traps", "edges")
+                 "traps", "edges")
 
     def __init__(self) -> None:
         self.instructions = 0
@@ -49,14 +49,13 @@ class ExecutionCounters:
         self.spec_guards = 0
         self.spec_misses = 0
         self.traps = 0
-        self.by_opcode: Counter = Counter()
         # per-edge execution counts, keyed (function, src block, dst
         # block) with "" as the src of the function-entry pseudo-edge.
         # None unless the run opted into edge collection: bumping a
         # dict per branch is pure overhead for the counting the paper
         # measures, so it stays off the hot path by default.  Kept out
-        # of snapshot(): landing blocks aside, edge sets are an
-        # engine-independent profile artifact, not a parity field.
+        # of snapshot(): edge sets are a profile artifact that only
+        # the interpreter records, not a parity field.
         self.edges: Optional[Dict[Tuple[str, str, str], int]] = None
 
     def enable_edge_collection(self) -> Dict[Tuple[str, str, str], int]:

@@ -18,7 +18,6 @@ from typing import Dict, List, Mapping, Optional, Union
 from ..errors import (BoundsAuditError, CallDepthError, InterpError,
                       RangeTrap, StepLimitError)
 from ..ir.basicblock import BasicBlock
-from ..ir.edges import edge_target, is_landing_block
 from ..ir.function import Function, Module
 from ..ir.instructions import (Assign, BinOp, Call, Check, CondJump, Jump,
                                Load, Phi, Print, Return, SpecGuard, Store,
@@ -49,7 +48,6 @@ class Machine:
     def __init__(self, module: Module,
                  inputs: Optional[Mapping[str, Number]] = None,
                  max_steps: int = 50_000_000,
-                 profile: bool = False,
                  bounds_audit: bool = False,
                  collect_edges: bool = False) -> None:
         if module.main is None:
@@ -61,7 +59,6 @@ class Machine:
         self.output: List[Number] = []
         self._steps = 0
         self._depth = 0
-        self.profile = profile
         # per-edge execution counts (the lospre training profile);
         # None keeps the dispatch loop branch-free on the default path
         self._edges = self.counters.enable_edge_collection() \
@@ -143,15 +140,14 @@ class Machine:
             while block is not None:
                 block, prev = self._run_block(frame, block, prev)
             return
-        # edge collection: record each taken CFG edge, attributing
-        # transitions through synthetic landing blocks (destructed
-        # modules) to the original edge so every engine agrees
+        # edge collection: the function-entry pseudo-edge, then each
+        # taken CFG edge
         fname = frame.function.name
         edges[(fname, "", block.name)] += 1
         while block is not None:
             nxt, prev = self._run_block(frame, block, prev)
-            if nxt is not None and not is_landing_block(prev):
-                edges[(fname, prev.name, edge_target(nxt).name)] += 1
+            if nxt is not None:
+                edges[(fname, prev.name, nxt.name)] += 1
             block = nxt
 
     def _run_block(self, frame: _Frame, block: BasicBlock,
@@ -161,9 +157,6 @@ class Machine:
             raise StepLimitError("execution exceeded %d steps"
                                  % self.max_steps)
         counters = self.counters
-        if self.profile:
-            for inst in block.instructions:
-                counters.by_opcode[type(inst).__name__] += 1
         # phis first, evaluated simultaneously against the incoming edge
         index = 0
         instructions = block.instructions

@@ -96,10 +96,6 @@ class BasicBlock:
                 return idx
         return len(self.instructions)
 
-    def non_phi_instructions(self) -> Iterator[Instruction]:
-        """Iterate instructions after the phi prefix."""
-        return iter(self.instructions[self.first_non_phi_index():])
-
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 

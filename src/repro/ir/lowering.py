@@ -26,13 +26,6 @@ from .verify import verify_module
 _TYPE_NAMES = {"integer": INT, "real": REAL}
 
 
-class LoweringOptions:
-    """Switches controlling AST-to-IR lowering."""
-
-    def __init__(self, insert_checks: bool = True) -> None:
-        self.insert_checks = insert_checks
-
-
 class _Signature:
     """Parameter kinds of a unit, for call lowering."""
 
@@ -43,34 +36,30 @@ class _Signature:
             "array" if p in array_names else "scalar" for p in unit.params]
 
 
-def lower_source_file(source: ast.SourceFile,
-                      options: Optional[LoweringOptions] = None) -> Module:
+def lower_source_file(source: ast.SourceFile) -> Module:
     """Lower a parsed source file to an IR module (and verify it)."""
-    options = options or LoweringOptions()
     signatures = {unit.name: _Signature(unit) for unit in source.units}
     module = Module(source.main.name)
     for unit in source.units:
-        module.add(_UnitLowering(unit, signatures, options).lower())
+        module.add(_UnitLowering(unit, signatures).lower())
     verify_module(module)
     return module
 
 
-def lower_program(source_text: str,
-                  options: Optional[LoweringOptions] = None) -> Module:
+def lower_program(source_text: str) -> Module:
     """Parse and lower mini-Fortran source text."""
     from ..frontend.parser import parse_source
 
-    return lower_source_file(parse_source(source_text), options)
+    return lower_source_file(parse_source(source_text))
 
 
 class _UnitLowering:
     """Lowers one program unit."""
 
-    def __init__(self, unit: ast.Unit, signatures: Dict[str, _Signature],
-                 options: LoweringOptions) -> None:
+    def __init__(self, unit: ast.Unit,
+                 signatures: Dict[str, _Signature]) -> None:
         self.unit = unit
         self.signatures = signatures
-        self.options = options
         self.function = Function(unit.name, is_main=unit.is_main)
         self.builder = IRBuilder(self.function)
         self.types: Dict[str, ScalarType] = {}
@@ -456,9 +445,8 @@ class _UnitLowering:
                 affine = _affine_of_value(value)
             values.append(value)
             affine_forms.append(affine)
-        if self.options.insert_checks:
-            for dim, subscript in zip(atype.dims, affine_forms):
-                self._emit_check_pair(ref.name, subscript, dim)
+        for dim, subscript in zip(atype.dims, affine_forms):
+            self._emit_check_pair(ref.name, subscript, dim)
         return values
 
     def _emit_check_pair(self, array: str, subscript: LinearExpr,

@@ -4,8 +4,8 @@ Two caches memoize the two stages of the pipeline that many requests
 share, and both rest on one artifact store (:class:`_ArtifactStore`):
 
 * :class:`FrontendCache` memoizes the post-SSA module (parse -> lower
-  -> [inline] -> [rotate] -> SSA) per ``(source hash, frontend
-  options)`` key.  The frontend does not depend on the optimizer
+  -> [inline] -> [rotate] -> SSA) per ``(source hash, rotate_loops,
+  inline)`` key.  The frontend does not depend on the optimizer
   configuration, yet a table run evaluates ~19 configurations per
   program, so every request gets a private copy of one cached module
   and a table run pays the frontend once per program.  A request
@@ -68,7 +68,7 @@ from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from .. import faults
 from ..ir.function import Module
-from .driver import module_size, run_frontend, translate
+from .driver import ENGINE_NAMES, module_size, run_frontend, translate
 from .trace import PipelineTrace
 
 try:  # POSIX only; the lock degrades to duplicate work without it
@@ -427,22 +427,19 @@ class FrontendCache(_ArtifactStore):
         return self.misses
 
     @staticmethod
-    def key(source: str, insert_checks: bool = True,
-            rotate_loops: bool = False,
-            inline: bool = False) -> Tuple[str, bool, bool, bool]:
+    def key(source: str, rotate_loops: bool = False,
+            inline: bool = False) -> Tuple[str, bool, bool]:
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        return (digest, insert_checks, rotate_loops, inline)
+        return (digest, rotate_loops, inline)
 
-    def _file_name(self, key: Tuple[str, bool, bool, bool]) -> str:
-        digest, insert_checks, rotate_loops, inline = key
-        return "%s-%d%d%d.frontend.pickle" % (digest, insert_checks,
-                                              rotate_loops, inline)
+    def _file_name(self, key: Tuple[str, bool, bool]) -> str:
+        digest, rotate_loops, inline = key
+        return "%s-%d%d.frontend.pickle" % (digest, rotate_loops, inline)
 
     def _encode(self, entry: _CacheEntry) -> Optional[bytes]:
         return entry.blob
 
-    def frontend(self, source: str, insert_checks: bool = True,
-                 rotate_loops: bool = False,
+    def frontend(self, source: str, rotate_loops: bool = False,
                  trace: Optional[PipelineTrace] = None,
                  inline: bool = False) -> Module:
         """A fresh deep copy of the cached frontend module for
@@ -450,14 +447,13 @@ class FrontendCache(_ArtifactStore):
 
         def build() -> _CacheEntry:
             compile_trace = PipelineTrace()
-            module = run_frontend(source, insert_checks=insert_checks,
-                                  rotate_loops=rotate_loops, ssa=True,
+            module = run_frontend(source, rotate_loops=rotate_loops,
                                   trace=compile_trace, inline=inline)
             if trace is not None:
                 trace.extend(compile_trace)
             return _CacheEntry(module)
 
-        key = self.key(source, insert_checks, rotate_loops, inline)
+        key = self.key(source, rotate_loops, inline)
         entry, fresh = self._lookup(key, build, _decode_frontend)
         if trace is not None and not fresh:
             trace.record("frontend", 0.0, size_after=entry.size,
@@ -520,7 +516,8 @@ class BackendCache(_ArtifactStore):
     for the tier-2 flat/vectorized engine), so entries written by an
     older translation scheme — in particular disk entries surviving an
     upgrade — can never be executed by a newer engine, and the two
-    engines never collide on a key.
+    engines never collide on a key.  Any other engine name is a
+    ``ValueError``: it never falls back to the threaded engine.
     """
 
     @property
@@ -534,6 +531,8 @@ class BackendCache(_ArtifactStore):
         from ..backend.pybackend import ENGINE_VERSION
         from ..backend.specialized import SPECIALIZED_ENGINE_VERSION
 
+        if engine not in ENGINE_NAMES[1:]:
+            raise ValueError("unknown back-end engine %r" % engine)
         digest = hashlib.sha256(
             _module_fingerprint(module).encode("utf-8")).hexdigest()
         if engine == "specialized":

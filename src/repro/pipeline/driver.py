@@ -1,8 +1,8 @@
 """End-to-end compilation pipeline.
 
-``compile_source`` takes mini-Fortran text through an explicit pass
-pipeline: parse -> lower (with naive range checks) -> [rotate] -> SSA
--> [GVN] -> range-check optimization, and returns a
+``compile_source`` takes mini-Fortran text through one fixed pass
+pipeline: parse -> lower (with naive range checks) -> [inline] ->
+[rotate] -> SSA -> range-check optimization, and returns a
 :class:`CompiledProgram` that can be executed with dynamic counting.
 This is the Python counterpart of the paper's
 Nascent-plus-instrumented-C-backend toolchain.
@@ -10,7 +10,7 @@ Nascent-plus-instrumented-C-backend toolchain.
 Each pass records a :class:`~repro.pipeline.trace.PassEvent` (wall
 time, IR size delta, optimizer counters) into a
 :class:`~repro.pipeline.trace.PipelineTrace`.  The frontend prefix
-(parse+lower+rotate+SSA) is pure with respect to the optimizer
+(parse+lower+inline+rotate+SSA) is pure with respect to the optimizer
 configuration, so the measurement harness shares it across the ~19
 configurations of one benchmark via
 :class:`~repro.pipeline.cache.FrontendCache`.
@@ -29,11 +29,15 @@ from ..errors import RangeTrap
 from ..frontend.parser import parse_source
 from ..interp.machine import Machine
 from ..ir.function import Module
-from ..ir.lowering import LoweringOptions, lower_source_file
+from ..ir.lowering import lower_source_file
 from ..ssa.construct import construct_ssa
 from .trace import PipelineTrace
 
 Number = Union[int, float]
+
+#: The execution engines: the interpreter, then the two back-end tiers
+#: (direct-threaded and specialized).
+ENGINE_NAMES = ("interp", "compiled", "specialized")
 
 
 def module_size(module: Optional[Module]) -> int:
@@ -54,22 +58,21 @@ def _verify_after(module: Module, pass_name: str) -> None:
         raise IRError("after pass %r: %s" % (pass_name, exc)) from exc
 
 
-def run_frontend(source: str, insert_checks: bool = True,
-                 rotate_loops: bool = False, ssa: bool = True,
+def run_frontend(source: str, rotate_loops: bool = False,
                  trace: Optional[PipelineTrace] = None,
                  verify_ir: bool = False,
                  inline: bool = False) -> Module:
     """The configuration-independent frontend prefix of the pipeline.
 
-    Runs parse -> lower -> [inline] -> [rotate] -> [SSA] and records
-    one trace event per pass.  The returned module has naive checks
-    (when ``insert_checks``) and no optimization applied; it is the
-    artifact :class:`~repro.pipeline.cache.FrontendCache` memoizes.
-    With ``verify_ir`` the verifier runs after every pass, attributing
-    any malformed IR to the pass that produced it.  ``inline=True``
-    clones eligible subroutine bodies into their callers before SSA,
-    so the check optimizer later sees cross-call redundancy as
-    ordinary intra-procedural redundancy.
+    Runs parse -> lower -> [inline] -> [rotate] -> SSA and records one
+    trace event per pass.  The returned module has naive checks and no
+    optimization applied; it is the artifact
+    :class:`~repro.pipeline.cache.FrontendCache` memoizes.  With
+    ``verify_ir`` the verifier runs after every pass, attributing any
+    malformed IR to the pass that produced it.  ``inline=True`` clones
+    eligible subroutine bodies into their callers before SSA, so the
+    check optimizer later sees cross-call redundancy as ordinary
+    intra-procedural redundancy.
     """
     trace = trace if trace is not None else PipelineTrace()
 
@@ -78,7 +81,7 @@ def run_frontend(source: str, insert_checks: bool = True,
     trace.record("parse", time.perf_counter() - start)
 
     start = time.perf_counter()
-    module = lower_source_file(tree, LoweringOptions(insert_checks))
+    module = lower_source_file(tree)
     trace.record("lower", time.perf_counter() - start,
                  size_after=module_size(module))
     if verify_ir:
@@ -103,23 +106,13 @@ def run_frontend(source: str, insert_checks: bool = True,
         if verify_ir:
             _verify_after(module, "rotate")
 
-    if ssa:
-        with trace.timed("ssa", module_size(module)) as event:
-            for function in module:
-                construct_ssa(function)
-            event.size_after = module_size(module)
-        if verify_ir:
-            _verify_after(module, "ssa")
-    return module
-
-
-def _run_gvn(module: Module, trace: PipelineTrace) -> None:
-    from ..pre.gvn import global_value_numbering
-
-    with trace.timed("gvn", module_size(module)) as event:
+    with trace.timed("ssa", module_size(module)) as event:
         for function in module:
-            global_value_numbering(function)
+            construct_ssa(function)
         event.size_after = module_size(module)
+    if verify_ir:
+        _verify_after(module, "ssa")
+    return module
 
 
 def _run_check_optimizer(module: Module, options: OptimizerOptions,
@@ -138,16 +131,12 @@ def _run_check_optimizer(module: Module, options: OptimizerOptions,
     return stats
 
 
-def translate(module: Module, engine: str = "compiled",
-              collect_edges: bool = False):
+def translate(module: Module, engine: str = "compiled"):
     """Destruct and translate a private clone of ``module``.
 
     ``engine`` selects the back-end tier: ``"compiled"``
     (direct-threaded) or ``"specialized"`` (flat source + vectorized
     affine loops).  ``module`` itself is never mutated.
-    ``collect_edges=True`` adds edge-count instrumentation; such
-    modules bypass the :class:`~repro.pipeline.cache.BackendCache`,
-    whose keys hash the uninstrumented module fingerprint.
     """
     from ..backend.pybackend import compile_to_python
     from ..backend.specialized import compile_to_specialized
@@ -160,11 +149,11 @@ def translate(module: Module, engine: str = "compiled",
         clone = copy.deepcopy(module)
     if engine == "specialized":
         # Plans loops on the SSA form, then destructs in place.
-        return compile_to_specialized(clone, collect_edges=collect_edges)
+        return compile_to_specialized(clone)
     for function in clone:
         if any(block.phis() for block in function.blocks):
             destruct_ssa(function)
-    return compile_to_python(clone, collect_edges=collect_edges)
+    return compile_to_python(clone)
 
 
 class CompiledProgram:
@@ -194,7 +183,8 @@ class CompiledProgram:
         """Execute the program; returns the machine (counters, output).
 
         ``collect_edges=True`` additionally records per-edge execution
-        counts on ``machine.counters.edges`` (profile training).
+        counts on ``machine.counters.edges`` (profile training).  The
+        interpreter is the only engine that records them.
         """
         machine = Machine(self.module, inputs, max_steps,
                           collect_edges=collect_edges)
@@ -204,21 +194,20 @@ class CompiledProgram:
     def run_compiled(self, inputs: Optional[Mapping[str, Number]] = None,
                      max_steps: int = 50_000_000,
                      backend_cache: Optional["BackendCache"] = None,
-                     engine: str = "compiled",
-                     collect_edges: bool = False):
+                     engine: str = "compiled"):
         """Execute via a back-end engine (the paper's instrumented-C
         methodology; ~10x faster than interpretation).
 
         ``engine`` selects the tier: ``"compiled"`` (direct-threaded,
         the default) or ``"specialized"`` (flat source with
-        NumPy-vectorized affine loops).  SSA is destructed on a
-        private copy of the module, so ``self.module`` is never
-        mutated; phi copies are charged to the ``phis`` counter, so
-        check counts, instruction counts, and outputs are identical to
-        :meth:`run`, and calling the two in either order gives the
-        same numbers.  Both engines enforce the same ``max_steps``
-        fuel and call-depth limits as the interpreter, raising the
-        same typed errors.
+        NumPy-vectorized affine loops); any other name is a
+        ``ValueError``.  SSA is destructed on a private copy of the
+        module, so ``self.module`` is never mutated; phi copies are
+        charged to the ``phis`` counter, so check counts, instruction
+        counts, and outputs are identical to :meth:`run`, and calling
+        the two in either order gives the same numbers.  Both engines
+        enforce the same ``max_steps`` fuel and call-depth limits as
+        the interpreter, raising the same typed errors.
 
         Translation goes through a
         :class:`~repro.pipeline.cache.BackendCache` (the process-wide
@@ -227,22 +216,18 @@ class CompiledProgram:
         per-engine memoized translated module.  Returns the back-end
         runtime (``.counters``, ``.output``).
         """
-        key = engine + (":edges" if collect_edges else "")
-        compiled = self._python_modules.get(key)
+        compiled = self._python_modules.get(engine)
         if compiled is None:
-            if collect_edges:
-                compiled = translate(self.module, engine, collect_edges)
-            else:
-                if backend_cache is None:
-                    from ..pipeline.cache import shared_backend_cache
+            if backend_cache is None:
+                from ..pipeline.cache import shared_backend_cache
 
-                    backend_cache = shared_backend_cache()
-                profile = getattr(self.options, "profile", None)
-                compiled = backend_cache.compiled(
-                    self.module, trace=self.trace, engine=engine,
-                    profile_fingerprint=(profile.fingerprint
-                                         if profile is not None else None))
-            self._python_modules[key] = compiled
+                backend_cache = shared_backend_cache()
+            profile = getattr(self.options, "profile", None)
+            compiled = backend_cache.compiled(
+                self.module, trace=self.trace, engine=engine,
+                profile_fingerprint=(profile.fingerprint
+                                     if profile is not None else None))
+            self._python_modules[engine] = compiled
         return compiled.run(inputs, max_steps=max_steps)
 
     def execute(self, inputs: Optional[Mapping[str, Number]] = None,
@@ -253,18 +238,26 @@ class CompiledProgram:
 
         A :class:`~repro.errors.RangeTrap` does not propagate: the
         execution carries it, with the counters and output the program
-        produced before the trap.
+        produced before the trap.  An engine name outside
+        :data:`ENGINE_NAMES`, or ``collect_edges`` on a back-end
+        engine, is a ``ValueError``.
         """
+        if engine not in ENGINE_NAMES:
+            raise ValueError("unknown engine %r (choose from %s)"
+                             % (engine, ", ".join(ENGINE_NAMES)))
+        if collect_edges and engine != "interp":
+            raise ValueError("edge profiles are recorded by the "
+                             "interpreter only, not by engine %r"
+                             % engine)
         trap = None
         with self.trace.timed("execute") as event:
             try:
-                if engine in ("compiled", "specialized"):
-                    runtime = self.run_compiled(
-                        inputs, max_steps=max_steps, engine=engine,
-                        collect_edges=collect_edges)
-                else:
+                if engine == "interp":
                     runtime = self.run(inputs, max_steps=max_steps,
                                        collect_edges=collect_edges)
+                else:
+                    runtime = self.run_compiled(
+                        inputs, max_steps=max_steps, engine=engine)
             except RangeTrap as error:
                 trap = error
                 runtime = getattr(error, "runtime", None)
@@ -296,34 +289,26 @@ class Execution:
 
 def compile_source(source: str,
                    options: Optional[OptimizerOptions] = None,
-                   insert_checks: bool = True,
                    optimize: bool = True,
-                   ssa: bool = True,
                    rotate_loops: bool = False,
-                   value_number: bool = False,
                    trace: Optional[PipelineTrace] = None,
                    cache: Optional["FrontendCache"] = None,
                    verify_ir: bool = False
                    ) -> CompiledProgram:
     """Compile mini-Fortran source text.
 
-    * ``insert_checks=False`` builds the check-free program (the
-      baseline instruction counts of Table 1);
     * ``optimize=False`` keeps naive checking (the baseline check
       counts of Table 1);
     * ``rotate_loops=True`` applies the loop-rotation transform the
       paper suggests as an enabler for safe-earliest placement (it
       disables counted-loop recognition, so use it with SE/LNI);
-    * ``value_number=True`` runs dominator-scoped GVN before check
-      optimization, merging check families whose nonlinear subscripts
-      are computed redundantly across blocks;
     * ``trace`` collects per-pass events (a fresh
       :class:`PipelineTrace` is created when omitted; it is exposed as
       ``CompiledProgram.trace``);
     * ``cache`` is an optional
-      :class:`~repro.pipeline.cache.FrontendCache`; when given (and
-      ``ssa`` is on) the frontend prefix is fetched from it — a deep
-      copy per call — instead of re-running parse/lower/SSA;
+      :class:`~repro.pipeline.cache.FrontendCache`; when given the
+      frontend prefix is fetched from it — a deep copy per call —
+      instead of re-running parse/lower/SSA;
     * ``verify_ir=True`` runs the IR verifier after every pass and
       raises :class:`~repro.errors.IRError` naming the offending pass;
     * otherwise the checks are optimized under ``options``.
@@ -336,24 +321,16 @@ def compile_source(source: str,
     trace = trace if trace is not None else PipelineTrace()
     inline = bool(options is not None and
                   getattr(options, "inline", False))
-    if cache is not None and ssa:
-        module = cache.frontend(source, insert_checks=insert_checks,
-                                rotate_loops=rotate_loops, trace=trace,
-                                inline=inline)
+    if cache is not None:
+        module = cache.frontend(source, rotate_loops=rotate_loops,
+                                trace=trace, inline=inline)
         if verify_ir:
             _verify_after(module, "frontend(cached)")
     else:
-        module = run_frontend(source, insert_checks=insert_checks,
-                              rotate_loops=rotate_loops, ssa=ssa,
+        module = run_frontend(source, rotate_loops=rotate_loops,
                               trace=trace, verify_ir=verify_ir,
                               inline=inline)
-    if not ssa:
-        return CompiledProgram(module, trace=trace)
-    if value_number:
-        _run_gvn(module, trace)
-        if verify_ir:
-            _verify_after(module, "gvn")
-    if not (insert_checks and optimize):
+    if not optimize:
         return CompiledProgram(module, trace=trace)
     options = options or OptimizerOptions()
     if options.profile is not None:

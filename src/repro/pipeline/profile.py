@@ -77,16 +77,6 @@ class EdgeProfile:
             return None
         return edges.get((src, dst))
 
-    def entry_weight(self, function: str) -> Optional[int]:
-        """How often ``function`` was entered during training."""
-        return self.weight(function, "", self._entry_dst(function))
-
-    def _entry_dst(self, function: str) -> str:
-        for (src, dst) in self.functions.get(function, {}):
-            if src == "":
-                return dst
-        return ""
-
     def total_weight(self) -> int:
         """Sum of every edge count (the unknown-edge fallback scale)."""
         return sum(count for edges in self.functions.values()

@@ -7,8 +7,9 @@ check optimizer.  These helpers compile and execute one program under
 one configuration and collect exactly those numbers.
 
 They compile through :func:`~repro.pipeline.driver.compile_source` and
-run the back-end engines through
-:func:`~repro.pipeline.driver.translate`, like every other caller.
+run every engine through
+:meth:`~repro.pipeline.driver.CompiledProgram.execute`, like every
+other caller.
 Both measurement entry points accept an optional
 :class:`~repro.pipeline.cache.FrontendCache`; when given, the
 parse+lower+SSA prefix is shared (one compile per program) and each
@@ -19,7 +20,7 @@ with per-pass timings.
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from ..analysis.loops import LoopForest
 from ..checks.config import OptimizerOptions
@@ -27,7 +28,7 @@ from ..checks.optimizer import count_checks
 from ..ir.function import Module
 from ..ir.instructions import Check
 from .cache import FrontendCache
-from .driver import CompiledProgram, compile_source, translate
+from .driver import CompiledProgram, compile_source
 from .profile import with_profile
 from .trace import PipelineTrace
 
@@ -117,17 +118,14 @@ def count_static(module: Module):
     return instructions, checks, loops
 
 
-def _run_engine(program: CompiledProgram,
-             inputs: Optional[Mapping[str, Number]], max_steps: int,
-             engine: str):
-    """Run via the interpreter or a back-end engine; returns the
-    machine or runtime (``.counters``, ``.output``)."""
-    if engine == "interp":
-        return program.run(inputs, max_steps)
-    if engine not in ("compiled", "specialized"):
-        raise ValueError("unknown engine %r" % engine)
-    return translate(program.module, engine).run(inputs,
-                                                 max_steps=max_steps)
+def _counters(program: CompiledProgram,
+              inputs: Optional[Mapping[str, Number]], max_steps: int,
+              engine: str):
+    """Run on ``engine`` and return the counters; a trap propagates."""
+    execution = program.execute(inputs, engine, max_steps)
+    if execution.trap is not None:
+        raise execution.trap
+    return execution.counters
 
 
 def measure_baseline(name: str, source: str,
@@ -147,9 +145,7 @@ def measure_baseline(name: str, source: str,
     row.static_instructions = instructions
     row.static_checks = checks
     row.loops = loops
-    with row.trace.timed("execute") as event:
-        counters = _run_engine(program, inputs, max_steps, engine).counters
-        event.counters = {"engine": engine}
+    counters = _counters(program, inputs, max_steps, engine)
     row.dynamic_instructions = counters.instructions
     row.dynamic_checks = counters.checks
     return row
@@ -190,10 +186,8 @@ def measure_scheme(name: str, source: str, options: OptimizerOptions,
     cell.compile_seconds = time.perf_counter() - compile_start
     cell.optimize_seconds = cell.trace.seconds("check-optimize")
     cell.static_checks = sum(count_checks(f) for f in program.module)
-    with cell.trace.timed("execute") as exec_event:
-        counters = _run_engine(program, inputs, max_steps, engine).counters
-        exec_event.counters = {"engine": engine}
-    cell.dynamic_checks = counters.checks
+    cell.dynamic_checks = _counters(program, inputs, max_steps,
+                                    engine).checks
     return cell
 
 
@@ -205,17 +199,3 @@ def verify_same_output(source: str, options: OptimizerOptions,
                                                           max_steps)
     optimized = compile_source(source, options).run(inputs, max_steps)
     return baseline.output == optimized.output
-
-
-def percent_table(rows: Dict[str, Dict[str, float]]) -> str:
-    """Render a {row_label: {col: pct}} mapping as aligned text."""
-    if not rows:
-        return ""
-    columns = sorted({col for cells in rows.values() for col in cells})
-    header = "%-10s" % "" + "".join("%10s" % c for c in columns)
-    lines = [header]
-    for label, cells in rows.items():
-        line = "%-10s" % label + "".join(
-            "%10.2f" % cells.get(col, float("nan")) for col in columns)
-        lines.append(line)
-    return "\n".join(lines)

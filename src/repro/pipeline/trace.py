@@ -1,7 +1,7 @@
 """Structured tracing of the compilation pipeline.
 
 Every stage of :func:`repro.pipeline.driver.compile_source` (parse,
-lower, rotate, ssa, gvn, check-optimize) records a :class:`PassEvent`
+lower, inline, rotate, ssa, check-optimize) records a :class:`PassEvent`
 into a :class:`PipelineTrace`: wall time, IR size before/after, and any
 optimizer counters the pass wants to expose.  Traces serve two
 purposes:

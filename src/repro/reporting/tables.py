@@ -66,7 +66,7 @@ def format_scheme_table(
     return "\n".join(lines)
 
 
-#: Table 3 row labels, in the paper's order (primed = GVN ablation).
+#: Table 3 row labels, in the paper's order (primed = implication ablation).
 TABLE3_LABELS = ["PRX-NI", "PRX-NI'", "PRX-SE", "PRX-SE'", "PRX-LLS",
                  "PRX-LLS'", "INX-NI", "INX-NI'", "INX-SE", "INX-SE'",
                  "INX-LLS", "INX-LLS'"]

@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..checks.config import (CheckKind, ImplicationMode, OptimizerOptions,
                              Scheme)
 from ..errors import ReproError
+from ..pipeline.driver import ENGINE_NAMES
 from ..reporting.jsonout import (SERVICE_ERROR_SCHEMA,
                                  SERVICE_TABLES_SCHEMA, execution_to_dict,
                                  phases_to_dict)
@@ -119,7 +120,7 @@ class CompileRequest:
             raise ServiceError(400, "unknown implication %r"
                                % (implication,))
         engine = payload.get("engine", "interp")
-        if engine not in ("interp", "compiled", "specialized"):
+        if engine not in ENGINE_NAMES:
             raise ServiceError(400, "unknown engine %r" % (engine,))
         inputs = payload.get("inputs", {})
         if not isinstance(inputs, dict):

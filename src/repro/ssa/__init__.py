@@ -1,8 +1,7 @@
-"""Static single assignment: construction, destruction, def-use chains."""
+"""Static single assignment: construction and destruction."""
 
 from .construct import construct_ssa
-from .defuse import DefUse
 from .destruct import destruct_ssa, is_ssa, split_critical_edges
 
-__all__ = ["DefUse", "construct_ssa", "destruct_ssa", "is_ssa",
+__all__ = ["construct_ssa", "destruct_ssa", "is_ssa",
            "split_critical_edges"]

@@ -83,13 +83,6 @@ class TestFrontiers:
         assert header in tree.frontier[body]
         assert header in tree.frontier[header]
 
-    def test_preorder_starts_at_entry(self):
-        f, entry, *_ = diamond()
-        tree = DominatorTree(f)
-        order = tree.dom_tree_preorder()
-        assert order[0] is entry
-        assert len(order) == 4
-
     def test_nested_diamond(self):
         f, entry, left, right, join = diamond()
         tree = DominatorTree(f)

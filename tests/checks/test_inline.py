@@ -2,14 +2,16 @@
 
 from repro.checks.inline import InlineStats, inline_module
 from repro.ir.instructions import Assign, Call, Check
-from repro.pipeline.driver import compile_source, run_frontend
+from repro.pipeline.driver import compile_source
 from repro.checks.config import CheckKind, OptimizerOptions, Scheme
 from repro.interp.machine import Machine
+
+from ..conftest import lower
 
 
 def _lowered(source):
     """Parse + lower with naive checks, no SSA: the inliner's input."""
-    return run_frontend(source, ssa=False)
+    return lower(source)
 
 
 def _main(module):

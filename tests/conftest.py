@@ -12,7 +12,7 @@ from repro.checks.config import (CheckKind, ImplicationMode, OptimizerOptions,
 from repro.checks.optimizer import optimize_module
 from repro.frontend.parser import parse_source
 from repro.interp.machine import Machine
-from repro.ir.lowering import LoweringOptions, lower_source_file
+from repro.ir.lowering import lower_source_file
 from repro.ssa.construct import construct_ssa
 
 
@@ -86,15 +86,14 @@ def make_service(**kwargs):
     return service
 
 
-def lower(source, insert_checks=True):
-    """Parse + lower (no SSA)."""
-    return lower_source_file(parse_source(source),
-                             LoweringOptions(insert_checks))
+def lower(source):
+    """Parse + lower with naive checks (no SSA)."""
+    return lower_source_file(parse_source(source))
 
 
-def lower_ssa(source, insert_checks=True):
+def lower_ssa(source):
     """Parse + lower + SSA for every function."""
-    module = lower(source, insert_checks)
+    module = lower(source)
     for function in module:
         construct_ssa(function)
     return module

@@ -51,32 +51,3 @@ end program
 """, OptimizerOptions(scheme=Scheme.LLS))
         assert machine.counters.guarded_checks >= 1
         assert machine.counters.checks >= machine.counters.guarded_checks
-
-
-class TestProfiling:
-    def test_by_opcode_profile(self):
-        from repro.interp import Machine
-        from ..conftest import lower_ssa
-        module = lower_ssa("""
-program p
-  integer :: i, s
-  s = 0
-  do i = 1, 5
-    s = s + i
-  end do
-  print s
-end program
-""")
-        machine = Machine(module, profile=True)
-        machine.run()
-        assert machine.counters.by_opcode["Assign"] > 0
-        assert machine.counters.by_opcode["BinOp"] > 0
-        assert machine.counters.by_opcode["Phi"] > 0
-
-    def test_profiling_off_by_default(self):
-        from repro.interp import Machine
-        from ..conftest import lower_ssa
-        module = lower_ssa("program p\ninteger :: i\ni = 1\nend program")
-        machine = Machine(module)
-        machine.run()
-        assert not machine.counters.by_opcode

@@ -5,7 +5,7 @@ import pytest
 from repro.checks.canonical import CanonicalCheck
 from repro.errors import SemanticError
 from repro.ir import Check, Load, Store
-from repro.ir.lowering import lower_program, LoweringOptions
+from repro.ir.lowering import lower_program
 from repro.symbolic import LinearExpr
 
 from ..conftest import lower
@@ -163,17 +163,6 @@ end program
 """)
         uppers = [c for c in checks_of(main) if c.kind == "upper"]
         assert uppers[0].linexpr == uppers[1].linexpr
-
-    def test_checks_can_be_disabled(self):
-        module = lower("""
-program p
-  integer :: i
-  real :: a(10)
-  i = 1
-  a(i) = 0.0
-end program
-""", insert_checks=False)
-        assert checks_of(module.main) == []
 
     def test_checks_precede_access(self):
         main = main_of("""

@@ -25,9 +25,9 @@ class TestFrontendCache:
 
     def test_distinct_options_are_distinct_entries(self, loop_program):
         cache = FrontendCache()
-        cache.frontend(loop_program, insert_checks=True)
-        cache.frontend(loop_program, insert_checks=False)
+        cache.frontend(loop_program)
         cache.frontend(loop_program, rotate_loops=True)
+        cache.frontend(loop_program, inline=True)
         assert cache.frontend_compiles == 3
 
     def test_clones_are_isolated(self, loop_program):

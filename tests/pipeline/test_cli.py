@@ -221,6 +221,21 @@ class TestExitCodeContract:
         assert err.count("\n") == 1
         assert "--profile requires --scheme LO" in err
 
+    @pytest.mark.parametrize("engine", ["compiled", "specialized"])
+    def test_profile_out_on_backend_engine_is_two(self, source_file,
+                                                  tmp_path, capsys,
+                                                  engine):
+        # edge profiles are recorded by the interpreter only
+        out = tmp_path / "edges.json"
+        with pytest.raises(SystemExit) as info:
+            main(["run", source_file, "--engine", engine,
+                  "--profile-out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--profile-out" in err and engine in err
+        assert not out.exists()
+
     def test_profile_missing_file_is_two(self, source_file, capsys):
         code = main(["run", source_file, "--scheme", "LO",
                      "--profile", "/nonexistent/edges.json"])

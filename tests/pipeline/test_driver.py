@@ -12,11 +12,6 @@ class TestCompileSource:
         machine = program.run({"n": 5})
         assert machine.output
 
-    def test_no_checks_variant(self, loop_program):
-        program = compile_source(loop_program, insert_checks=False)
-        machine = program.run({"n": 5})
-        assert machine.counters.checks == 0
-
     def test_unoptimized_variant(self, loop_program):
         naive = compile_source(loop_program, optimize=False)
         optimized = compile_source(loop_program)
@@ -24,11 +19,6 @@ class TestCompileSource:
         m2 = optimized.run({"n": 5})
         assert m2.counters.checks < m1.counters.checks
         assert m1.output == m2.output
-
-    def test_non_ssa_variant(self, loop_program):
-        program = compile_source(loop_program, ssa=False, optimize=False)
-        machine = program.run({"n": 5})
-        assert machine.counters.phis == 0
 
     def test_stats_exposed(self, loop_program):
         program = compile_source(loop_program,
@@ -97,26 +87,22 @@ class TestEngineCallOrder:
             == backend.counters.checks
 
 
-class TestValueNumberingOption:
-    INDIRECT = """
-program p
-  input integer :: i = 2, j = 3, c = 1
-  real :: a(100), b(100)
-  a(i * j) = 1.0
-  if (c > 0) then
-    b(i * j) = 2.0
-  end if
-  print a(6)
-end program
-"""
 
-    def test_gvn_improves_check_elimination(self):
-        plain = compile_source(self.INDIRECT,
-                               OptimizerOptions(scheme=Scheme.NI))
-        gvn = compile_source(self.INDIRECT,
-                             OptimizerOptions(scheme=Scheme.NI),
-                             value_number=True)
-        m_plain = plain.run()
-        m_gvn = gvn.run()
-        assert m_gvn.output == m_plain.output
-        assert m_gvn.counters.checks < m_plain.counters.checks
+class TestEngineNames:
+    """An engine name outside ``ENGINE_NAMES`` is an error; it never
+    falls back to the interpreter or the threaded engine."""
+
+    def test_execute_rejects_misspelled_engine(self, loop_program):
+        program = compile_source(loop_program)
+        with pytest.raises(ValueError, match="specialised"):
+            program.execute({"n": 5}, "specialised")
+
+    def test_run_compiled_rejects_unknown_engine(self, loop_program):
+        program = compile_source(loop_program)
+        with pytest.raises(ValueError, match="bogus"):
+            program.run_compiled({"n": 5}, engine="bogus")
+        # once a threaded translation of the same module sits in the
+        # backend cache and in the program's memo, neither may answer
+        program.run_compiled({"n": 5}, engine="compiled")
+        with pytest.raises(ValueError, match="bogus"):
+            program.run_compiled({"n": 5}, engine="bogus")

@@ -1,11 +1,10 @@
-"""Edge-profile artifacts: determinism, engine parity, validation.
+"""Edge-profile artifacts: determinism, recording engine, validation.
 
 The profile is the ``Scheme.LO`` training artifact, so its guarantees
 are load-bearing: byte-identical serialization (cacheable, diffable),
-identical edge counts from all three execution engines (training under
-any engine yields the same placement), and loud failures on any torn,
-stale, or foreign artifact (a silently-wrong profile would mean
-silently-wrong check placement).
+one recording engine (the interpreter; the back-ends refuse), and loud
+failures on any torn, stale, or foreign artifact (a silently-wrong
+profile would mean silently-wrong check placement).
 """
 
 import json
@@ -82,59 +81,35 @@ class TestDeterminism:
 
 
 class TestEngineParity:
-    """All three engines must report the same edge counts — otherwise
-    training under one engine and executing under another would give
-    different placements."""
+    """Edge profiles are recorded by the interpreter only: training
+    always interprets, so no back-end engine carries edge counting,
+    and asking one for edges is an error rather than an empty
+    profile."""
 
-    def _edges(self, program, engine, inputs):
+    def _edges(self, program, inputs):
         try:
-            if engine == "interp":
-                result = program.run(inputs, collect_edges=True)
-            else:
-                result = program.run_compiled(inputs, engine=engine,
-                                              collect_edges=True)
+            result = program.run(inputs, collect_edges=True)
             return dict(result.counters.edges)
         except RangeTrap as trap:
-            # accounting survives the trap on every engine: the trap
-            # carries the runtime state at the instant it fired
+            # accounting survives the trap: the trap carries the
+            # machine state at the instant it fired
             return dict(trap.runtime.counters.edges)
-
-    @pytest.mark.parametrize("source,inputs", [
-        (LOOP, {"n": 5}),       # the common case
-        (LOOP, {"n": 0}),       # zero-trip loop: exit edge only
-        (TRAPPING, {"n": 60}),  # trap mid-run: partial counts
-    ], ids=["normal", "zero-trip", "trapping"])
-    def test_three_engines_agree(self, source, inputs):
-        program = compile_source(source,
-                                 OptimizerOptions(scheme=Scheme.LLS))
-        interp = self._edges(program, "interp", inputs)
-        compiled = self._edges(program, "compiled", inputs)
-        specialized = self._edges(program, "specialized", inputs)
-        assert interp == compiled == specialized
-        assert interp  # at least the entry pseudo-edge
 
     def test_zero_trip_records_exit_not_body(self):
         program = compile_source(LOOP,
                                  OptimizerOptions(scheme=Scheme.LLS))
-        edges = self._edges(program, "interp", {"n": 0})
+        edges = self._edges(program, {"n": 0})
         bodies = [e for e in edges if "do_body" in e[2]]
         assert not bodies
         exits = [e for e in edges if "do_exit" in e[2]]
         assert exits and all(edges[e] == 1 for e in exits)
 
-    def test_artifact_identical_across_engines(self):
-        texts = []
-        for engine in ("interp", "compiled", "specialized"):
-            program = compile_source(LOOP,
-                                     OptimizerOptions(scheme=Scheme.LLS))
-            if engine == "interp":
-                result = program.run({"n": 5}, collect_edges=True)
-            else:
-                result = program.run_compiled({"n": 5}, engine=engine,
-                                              collect_edges=True)
-            texts.append(profile_from_counters(
-                LOOP, result.counters).dumps())
-        assert texts[0] == texts[1] == texts[2]
+    @pytest.mark.parametrize("engine", ["compiled", "specialized"])
+    def test_backend_engines_refuse_edge_collection(self, engine):
+        program = compile_source(LOOP,
+                                 OptimizerOptions(scheme=Scheme.LLS))
+        with pytest.raises(ValueError, match="interpreter only"):
+            program.execute({"n": 5}, engine, collect_edges=True)
 
     def test_default_run_collects_nothing(self):
         # collect_edges is opt-in; the default path must not pay for it

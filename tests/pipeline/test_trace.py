@@ -75,11 +75,10 @@ class TestCompileSourceTrace:
         event = program.trace.events[-1]
         assert event.counters["checks_before"] > event.counters["checks_after"]
 
-    def test_rotate_and_gvn_appear(self, loop_program):
-        program = compile_source(loop_program, rotate_loops=True,
-                                 value_number=True)
+    def test_rotate_appears(self, loop_program):
+        program = compile_source(loop_program, rotate_loops=True)
         names = [e.name for e in program.trace]
-        assert names == ["parse", "lower", "rotate", "ssa", "gvn",
+        assert names == ["parse", "lower", "rotate", "ssa",
                          "check-optimize"]
 
     def test_unoptimized_stops_at_frontend(self, loop_program):

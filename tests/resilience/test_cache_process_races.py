@@ -173,8 +173,7 @@ class TestUnusableLockDegrades:
         cache = tmp_path / "store"
         cache.mkdir()
         probe = FrontendCache(disk_dir=str(cache))
-        lock_path = probe._path(probe.key(SOURCE, True, False)) \
-            + ".lock"
+        lock_path = probe._path(probe.key(SOURCE)) + ".lock"
         os.makedirs(lock_path)
         a, = _race(cache, tmp_path / "go", faults_by_child=("",))
         assert a["status"] == 200
