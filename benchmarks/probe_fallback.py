@@ -3,11 +3,12 @@
 The specialized back-end emits each function as flat Python with
 structured control flow.  A function whose CFG the structurer cannot
 rebuild is emitted by the threaded emitter instead, inside the same
-module, and nothing records it.  This probe repeats the engine's
-per-function translation step on every function of every program in
-``perfbench/corpus`` and ``tests/fuzz_corpus``, under every scheme x
-check kind x inline setting, and counts the fallbacks by program and
-reason.  It changes no engine code.
+module, and nothing records it.  This probe runs the engine's two
+translation steps -- each function's emission, then one compile of
+the module -- on every program in ``perfbench/corpus`` and
+``tests/fuzz_corpus``, under every scheme x check kind x inline
+setting, and counts the fallbacks by program and reason.  It changes
+no engine code.
 
 Run from the repository root::
 
@@ -23,11 +24,10 @@ import pickle
 import re
 from collections import Counter
 
-from repro.backend.specialized import _FlatEmitter, _plan_loops, _Unsupported
+from repro.backend.specialized import _emit_function, _link
 from repro.checks.config import CheckKind, OptimizerOptions, Scheme
 from repro.pipeline.cache import FrontendCache
 from repro.pipeline.driver import compile_source
-from repro.ssa import destruct_ssa
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,21 +48,14 @@ def corpus():
 
 
 def fallbacks(module):
-    """(function name, reason) for each function the structurer
-    rejects, translating a private clone as the engine does."""
+    """(function name, reason) for each function emitted threaded,
+    translating a private clone as the engine does."""
     module = pickle.loads(pickle.dumps(module))
-    found = []
-    for function in module:
-        plans = {}
-        if any(block.phis() for block in function.blocks):
-            plans = _plan_loops(function)
-            destruct_ssa(function)
-        try:
-            text = _FlatEmitter(module, function, plans).emit()
-            compile(text, "<probe>", "exec")
-        except (_Unsupported, SyntaxError) as error:
-            found.append((function.name, str(error)))
-    return found
+    emitted = [_emit_function(module, function) for function in module]
+    _link(module, emitted)
+    return [(function.name, reason)
+            for function, (_, reason) in zip(module, emitted)
+            if reason is not None]
 
 
 def main() -> None:

@@ -49,6 +49,7 @@ of the compiled checks.
 
 from __future__ import annotations
 
+from types import CodeType
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .. import faults
@@ -589,6 +590,11 @@ class _Runtime:
         raise InterpError("block %s fell off the end" % block_name)
 
 
+def _compile(source: str) -> CodeType:
+    """The code object of a generated module."""
+    return compile(source, "<repro-pybackend>", "exec")
+
+
 class CompiledPythonModule:
     """A module translated to Python, ready to execute repeatedly.
 
@@ -603,13 +609,16 @@ class CompiledPythonModule:
         if module.main is None:
             raise IRError("module has no main program")
         self.module = module
-        self.source = self._translate(module) if source is None else source
+        if source is None:
+            self.source, code = self._translate(module)
+        else:
+            self.source, code = source, _compile(source)
         self._namespace: Dict[str, object] = {"_InterpError": InterpError}
-        code = compile(self.source, "<repro-pybackend>", "exec")
         exec(code, self._namespace)
 
     @staticmethod
-    def _translate(module: Module) -> str:
+    def _translate(module: Module) -> Tuple[str, CodeType]:
+        """The module's generated source and its code object."""
         pieces = [_PRELUDE]
         for function in module:
             for block in function.blocks:
@@ -618,7 +627,8 @@ class CompiledPythonModule:
                         "the Python back-end needs destructed SSA "
                         "(function %s still has phis)" % function.name)
             pieces.append(_FunctionEmitter(module, function).emit())
-        return "\n\n".join(pieces)
+        source = "\n\n".join(pieces)
+        return source, _compile(source)
 
     def run(self, inputs: Optional[Mapping[str, Number]] = None,
             max_steps: int = 50_000_000) -> _Runtime:

@@ -7,10 +7,12 @@ share, and both rest on one artifact store (:class:`_ArtifactStore`):
   -> [inline] -> [rotate] -> SSA) per ``(source hash, rotate_loops,
   inline)`` key.  The frontend does not depend on the optimizer
   configuration, yet a table run evaluates ~19 configurations per
-  program, so every request gets a private copy of one cached module
-  and a table run pays the frontend once per program.  A request
-  records either the fresh pass events or a ``frontend``/``clone``
-  pair (``cached=True``) into the caller's :class:`PipelineTrace`.
+  program, so a table run pays the frontend once per program.  Every
+  request gets a module no other caller holds: a miss hands over the
+  module it built, a hit unpickles a private copy of the cached one.
+  A miss records the fresh pass events into the caller's
+  :class:`PipelineTrace`, a hit a ``frontend`` (``cached=True``) and
+  a ``clone`` event.
 * :class:`BackendCache` memoizes the *translated* back-end module per
   ``(module fingerprint, engine version[, profile])`` key, so service
   workers and ``--jobs`` pools skip SSA destruction and translation
@@ -383,17 +385,18 @@ class _ArtifactStore:
 
 
 class _CacheEntry:
-    """A frontend module plus its pickled form.
+    """A frontend module's pickled form.
 
     Cloning by ``pickle.loads`` is ~5x faster than ``copy.deepcopy``
-    on this IR, so the blob — not the module — is the hot artifact;
-    ``blob=None`` (unpicklable module) degrades to deepcopy.
+    on this IR, so the blob is the artifact: the entry keeps no live
+    module beside it, and the module it was made from is free for the
+    caller that built it.  An unpicklable module (``blob=None``) is
+    kept live and deep-copied on every clone.
     """
 
     __slots__ = ("module", "blob", "size")
 
     def __init__(self, module: Module, blob: Optional[bytes] = None) -> None:
-        self.module = module
         self.size = module_size(module)
         if blob is None:
             try:
@@ -401,6 +404,7 @@ class _CacheEntry:
             except _PICKLE_ERRORS:
                 pass
         self.blob = blob
+        self.module = module if blob is None else None
 
     def clone(self) -> Module:
         if self.blob is not None:
@@ -416,8 +420,9 @@ def _decode_frontend(blob: bytes) -> Optional[_CacheEntry]:
 class FrontendCache(_ArtifactStore):
     """Shares one parsed+lowered+SSA module across configurations.
 
-    ``frontend()`` returns a private deep copy on every call, so
-    callers may mutate (optimize, destruct) their module freely.
+    ``frontend()`` returns a module no other caller holds, so callers
+    may mutate (optimize, destruct) it freely: a miss hands over the
+    module it built, every other call gets a private copy.
     """
 
     @property
@@ -442,8 +447,15 @@ class FrontendCache(_ArtifactStore):
     def frontend(self, source: str, rotate_loops: bool = False,
                  trace: Optional[PipelineTrace] = None,
                  inline: bool = False) -> Module:
-        """A fresh deep copy of the cached frontend module for
-        ``source``, compiling (and caching) it on first request."""
+        """The frontend module for ``source``, the caller's own.
+
+        A miss compiles the module, caches its pickled form and hands
+        over the module itself.  A hit gets a private copy of the
+        cached one, and records a ``frontend`` (cached) and a
+        ``clone`` event instead of the pass events.  An unpicklable
+        module is deep-copied on every call, the miss included.
+        """
+        built = []
 
         def build() -> _CacheEntry:
             compile_trace = PipelineTrace()
@@ -451,10 +463,13 @@ class FrontendCache(_ArtifactStore):
                                   trace=compile_trace, inline=inline)
             if trace is not None:
                 trace.extend(compile_trace)
+            built.append(module)
             return _CacheEntry(module)
 
         key = self.key(source, rotate_loops, inline)
         entry, fresh = self._lookup(key, build, _decode_frontend)
+        if fresh and entry.blob is not None:
+            return built[0]  # only this call holds it: hits unpickle
         if trace is not None and not fresh:
             trace.record("frontend", 0.0, size_after=entry.size,
                          cached=True)

@@ -307,8 +307,8 @@ def compile_source(source: str,
       ``CompiledProgram.trace``);
     * ``cache`` is an optional
       :class:`~repro.pipeline.cache.FrontendCache`; when given the
-      frontend prefix is fetched from it — a deep copy per call —
-      instead of re-running parse/lower/SSA;
+      frontend prefix is fetched from it — the module a miss built, or
+      a private copy on a hit — instead of re-running parse/lower/SSA;
     * ``verify_ir=True`` runs the IR verifier after every pass and
       raises :class:`~repro.errors.IRError` naming the offending pass;
     * otherwise the checks are optimized under ``options``.

@@ -1,10 +1,16 @@
 """Tests for the frontend compilation cache."""
 
+import pickle
+
 from repro.checks.config import OptimizerOptions, Scheme
 from repro.checks.optimizer import optimize_module
 from repro.interp.machine import Machine
+from repro.ir.printer import format_module
 from repro.pipeline import (FrontendCache, PipelineTrace, compile_source,
                             reset_shared_cache, shared_cache)
+from repro.pipeline import cache as cache_module
+from repro.pipeline.driver import run_frontend
+from repro.ssa import destruct_ssa
 
 
 def run_checks(module, inputs):
@@ -65,6 +71,13 @@ class TestFrontendCache:
         assert second.frontend_was_cached()
         assert second.run_count("clone") == 1
 
+    def test_miss_records_no_clone(self, loop_program):
+        cache = FrontendCache()
+        trace = PipelineTrace()
+        cache.frontend(loop_program, trace=trace)
+        assert trace.run_count("clone") == 0
+        assert trace.run_count("ssa") == 1
+
     def test_clear_drops_memory(self, loop_program):
         cache = FrontendCache()
         cache.frontend(loop_program)
@@ -78,6 +91,43 @@ class TestFrontendCache:
         stats = cache.stats()
         assert stats["frontend_compiles"] == 1
         assert stats["entries"] == 1
+
+
+class TestOwnership:
+    """A miss hands over the module it built; the entry keeps only
+    its pickled form, so no later caller can see that module."""
+
+    def test_miss_caller_mutations_do_not_reach_hits(self, loop_program):
+        cache = FrontendCache()
+        mine = cache.frontend(loop_program)
+        optimize_module(mine, OptimizerOptions(scheme=Scheme.LLS))
+        for function in mine:
+            destruct_ssa(function)
+        assert format_module(cache.frontend(loop_program)) == \
+            format_module(run_frontend(loop_program))
+
+    def test_entry_with_blob_holds_no_live_module(self, loop_program):
+        cache = FrontendCache()
+        cache.frontend(loop_program)
+        (entry,) = cache._memory.values()
+        assert entry.blob is not None
+        assert entry.module is None
+
+    def test_unpicklable_module_is_copied_on_every_call(self, loop_program,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise pickle.PicklingError("refused")
+
+        monkeypatch.setattr(cache_module.pickle, "dumps", refuse)
+        cache = FrontendCache()
+        modules = [cache.frontend(loop_program) for _ in range(3)]
+        (entry,) = cache._memory.values()
+        assert entry.blob is None
+        assert cache.frontend_compiles == 1
+        held = [entry.module] + modules
+        assert len({id(module) for module in held}) == len(held)
+        expected = format_module(run_frontend(loop_program))
+        assert all(format_module(module) == expected for module in modules)
 
 
 class TestDiskCache:
