@@ -15,7 +15,11 @@ covers:
   NI', SE', LLS' x both kinds.  Their loops have non-unit and negative
   steps (``do i = 0, n, 2``), so they reach the preheader arithmetic
   for a loop's last index and trip count that the step-1 loops above
-  never need.
+  never need;
+* the same generated programs x CS, SE, LLS, ALL and SPEC x both kinds
+  with ``inline``, which turns on the prover tier of the elimination
+  pass and, under CS, the cross-family choice of the strongest
+  implier.
 
 ``LO`` is trained on each program's test inputs (none for the
 generated programs).  A mismatch means the
@@ -50,6 +54,8 @@ PRIMES = ((Scheme.NI, ImplicationMode.NONE),
 
 GENERATOR_SEEDS = range(1, 7)
 
+INLINE_SCHEMES = (Scheme.CS, Scheme.SE, Scheme.LLS, Scheme.ALL, Scheme.SPEC)
+
 
 def configurations():
     """(program, options) pairs of the matrix, in a fixed order."""
@@ -73,6 +79,8 @@ def configurations():
                 yield program, OptimizerOptions(scheme, kind)
             for scheme, mode in PRIMES:
                 yield program, OptimizerOptions(scheme, kind, mode)
+            for scheme in INLINE_SCHEMES:
+                yield program, OptimizerOptions(scheme, kind, inline=True)
 
 
 def fingerprint(program, options, cache):
@@ -115,7 +123,7 @@ class TestSchemeMatrix:
     def test_golden_covers_the_matrix(self, golden):
         keys = ["%s %s" % (program.name, options.label())
                 for program, options in configurations()]
-        assert len(keys) == len(set(keys)) == 580
+        assert len(keys) == len(set(keys)) == 640
         assert sorted(golden) == sorted(keys)
 
     def test_matrix_matches_golden(self, golden):
