@@ -3,7 +3,8 @@
 Uses the Cooper-Harvey-Kennedy iterative algorithm over reverse
 postorder, which is simple and fast for the CFG sizes the benchmark
 suite produces.  Dominance frontiers feed SSA construction (Cytron's
-algorithm) and the verifier's sanity checks.
+algorithm), the only reader, so they are computed on first read; loop
+forests, MCM and the verifier pay for immediate dominators only.
 """
 
 from __future__ import annotations
@@ -16,18 +17,31 @@ from .dataflow import reverse_postorder
 
 
 class DominatorTree:
-    """Immediate dominators, the dominator tree, and dominance frontiers."""
+    """Immediate dominators, the dominator tree, and dominance frontiers.
+
+    The tree is a snapshot: RPO, predecessors and immediate dominators
+    are taken when it is built, and :attr:`frontier`, computed on first
+    read, comes from that snapshot, so a late read gives what an eager
+    one would.
+    """
 
     def __init__(self, function: Function) -> None:
         self.function = function
         self.rpo = reverse_postorder(function)
         self._index = {block: i for i, block in enumerate(self.rpo)}
+        self._preds = function.predecessor_map()
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self.children: Dict[BasicBlock, List[BasicBlock]] = {}
-        self.frontier: Dict[BasicBlock, Set[BasicBlock]] = {}
+        self._frontier: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
         self._compute_idoms()
         self._compute_children()
-        self._compute_frontiers()
+
+    @property
+    def frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
+        """Each block's dominance frontier, computed on first read."""
+        if self._frontier is None:
+            self._frontier = self._compute_frontiers()
+        return self._frontier
 
     # -- construction ------------------------------------------------------
 
@@ -35,7 +49,7 @@ class DominatorTree:
         entry = self.function.entry
         if entry is None:
             return
-        preds = self.function.predecessor_map()
+        preds = self._preds
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {
             block: None for block in self.rpo}
         idom[entry] = entry
@@ -74,21 +88,22 @@ class DominatorTree:
             if parent is not None:
                 self.children[parent].append(block)
 
-    def _compute_frontiers(self) -> None:
-        preds = self.function.predecessor_map()
-        self.frontier = {block: set() for block in self.rpo}
+    def _compute_frontiers(self) -> Dict[BasicBlock, Set[BasicBlock]]:
+        frontier: Dict[BasicBlock, Set[BasicBlock]] = {
+            block: set() for block in self.rpo}
         for block in self.rpo:
-            block_preds = [p for p in preds[block] if p in self._index]
+            block_preds = [p for p in self._preds[block] if p in self._index]
             if len(block_preds) < 2:
                 continue
             for pred in block_preds:
                 runner = pred
                 while runner is not self.idom[block]:
-                    self.frontier[runner].add(block)
+                    frontier[runner].add(block)
                     next_runner = self.idom.get(runner)
                     if next_runner is None:
                         break
                     runner = next_runner
+        return frontier
 
     # -- queries ------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from .cig import CheckImplicationGraph, ImplicationStore
 from .config import CheckKind, ImplicationMode, OptimizerOptions, Scheme
 from .dataflow import CheckAnalysis
 from .eliminate import eliminate_redundant, fold_compile_time
-from .family import CheckUniverse, universe_from_function
+from .family import CheckUniverse, ids_of, universe_from_function
 from .inx import rewrite_checks_to_inx
 from .lcm import (apply_insertions, latest_insertions,
                   safe_earliest_insertions)
@@ -28,7 +28,7 @@ __all__ = [
     "OptimizerOptions", "PreheaderInserter", "RangeCheckOptimizer", "Scheme",
     "apply_insertions", "bounds_checks_for", "count_checks",
     "eliminate_by_value_range", "eliminate_redundant", "fold_compile_time",
-    "latest_insertions",
+    "ids_of", "latest_insertions",
     "make_check", "make_guard", "optimize_function", "optimize_module",
     "rewrite_checks_to_inx", "safe_earliest_insertions",
     "strengthen_checks", "universe_from_function",

@@ -21,12 +21,12 @@ implication the paper found to matter).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..symbolic import LinearExpr
 from .canonical import CanonicalCheck
 from .config import ImplicationMode
-from .family import CheckUniverse
+from .family import CheckUniverse, ids_of
 
 FamilyPair = Tuple[LinearExpr, LinearExpr]
 
@@ -71,12 +71,21 @@ class CheckImplicationGraph:
         self.store = store or ImplicationStore()
         self.mode = mode
         self._rows = self._shortest_paths()
-        # each family's members and their bounds, strongest first
-        self._members = [universe.family_members(family)
-                         for family in range(len(universe.families))]
-        self._bounds = [[universe.checks[cid].bound for cid in members]
-                        for members in self._members]
-        self._weaker_cache: Dict[Tuple[int, bool], FrozenSet[int]] = {}
+        # per family, strongest first: the members' bounds, and the
+        # mask of the members from each position on (one extra, empty
+        # suffix at the end)
+        self._bounds: List[List[int]] = []
+        self._suffixes: List[List[int]] = []
+        for family in range(len(universe.families)):
+            members = universe.family_members(family)
+            self._bounds.append([universe.checks[cid].bound
+                                 for cid in members])
+            suffixes = [0]
+            for cid in reversed(members):
+                suffixes.append(suffixes[-1] | 1 << cid)
+            suffixes.reverse()
+            self._suffixes.append(suffixes)
+        self._weaker_cache: Dict[Tuple[int, bool], int] = {}
 
     # -- family graph -----------------------------------------------------
 
@@ -147,10 +156,9 @@ class CheckImplicationGraph:
             return False
         return strong.bound + path <= weak.bound
 
-    def weaker_set(self, check_id: int,
-                   family_only: bool = False) -> FrozenSet[int]:
-        """All registered checks that ``check_id`` is as strong as
-        (including itself).
+    def weaker_set(self, check_id: int, family_only: bool = False) -> int:
+        """The mask of all registered checks that ``check_id`` is as
+        strong as (including itself).
 
         With ``family_only`` the closure is restricted to the check's
         own family -- the stricter generation rule anticipatability
@@ -159,11 +167,9 @@ class CheckImplicationGraph:
 
         As-strong-as is a threshold on the weaker check's bound, so the
         answer is a suffix of each reachable family's members sorted by
-        bound: one bisect in the check's own family (unless the mode
-        turns within-family implication off) and one per family in its
-        shortest-path row.  The check goes in first, then the rest by
-        id, or by bound with ``family_only``: the order in which the
-        definition enumerates them.
+        bound: one bisect and one suffix mask in the check's own family
+        (unless the mode turns within-family implication off) and one
+        per family in its shortest-path row.
         """
         key = (check_id, family_only)
         cached = self._weaker_cache.get(key)
@@ -176,22 +182,16 @@ class CheckImplicationGraph:
             reachable.append((family, 0))
         if not family_only and self.mode is not ImplicationMode.NONE:
             reachable.extend(self._rows.get(family, {}).items())
-        weaker: List[int] = []
+        weaker = 1 << check_id
         for target, path in reachable:
             start = bisect_left(self._bounds[target], bound + path)
-            weaker.extend(self._members[target][start:])
-        if not family_only:
-            weaker.sort()
-        result = {check_id}
-        result.update(weaker)
-        frozen = frozenset(result)
-        self._weaker_cache[key] = frozen
-        return frozen
+            weaker |= self._suffixes[target][start]
+        self._weaker_cache[key] = weaker
+        return weaker
 
-    def strongest_implying(self, check_id: int,
-                           candidate_ids: FrozenSet[int],
+    def strongest_implying(self, check_id: int, candidates: int,
                            cross_family: bool = False) -> Optional[int]:
-        """The strongest check among ``candidate_ids`` that implies
+        """The strongest check in the ``candidates`` mask that implies
         ``check_id`` (used by CS).
 
         Candidates from ``check_id``'s own family are ranked by their
@@ -200,11 +200,12 @@ class CheckImplicationGraph:
         graph has an implication path; they are ranked by the bound
         they *effectively impose* on ``check_id``'s family (their own
         bound plus the path weight), which makes scores comparable
-        across families."""
+        across families.  Of two candidates that impose the same bound,
+        the lower id wins."""
         family = self.universe.family_of[check_id]
         best: Optional[int] = None
         best_score: Optional[int] = None
-        for cid in candidate_ids:
+        for cid in ids_of(candidates):
             candidate_family = self.universe.family_of[cid]
             if candidate_family == family:
                 score = self.universe.check_of(cid).bound

@@ -3,7 +3,7 @@ compile-time evaluation of checks.
 
 A check is redundant when a check at least as strong is *available* at
 its program point (the availability facts are closed under implication,
-so redundancy is a plain membership test).  With ``prove=True`` a
+so redundancy is one bit test on the fact mask).  With ``prove=True`` a
 second, semantic tier handles what the syntactic tier cannot: the
 available canonical checks become hypotheses for the linear-inequality
 prover (:mod:`repro.symbolic.prover`), which decides cross-family
@@ -17,13 +17,14 @@ false).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.function import Function
 from ..ir.instructions import Check, Trap
 from ..symbolic.prover import entails
 from .canonical import CanonicalCheck
-from .dataflow import CheckAnalysis, EdgeGen
+from .dataflow import CheckAnalysis, EdgeGen, Facts
+from .family import ids_of
 
 
 def eliminate_redundant(analysis: CheckAnalysis,
@@ -42,18 +43,17 @@ def eliminate_redundant(analysis: CheckAnalysis,
     avin, _ = analysis.availability(edge_gen)
     removed = 0
     proved = 0
-    verdicts: Dict[Tuple[FrozenSet[int], int], bool] = {}
+    verdicts: Dict[Tuple[Facts, int], bool] = {}
     for block in analysis.rpo:
         doomed: List[Check] = []
         for _, check, facts in analysis.facts_before_checks(
                 block, avin[block]):
-            canonical = CanonicalCheck.of(check)
-            check_id = analysis.universe.id_of(canonical)
-            if check_id is not None and check_id in facts:
+            check_id = analysis.id_of(check)
+            if check_id is not None and facts >> check_id & 1:
                 doomed.append(check)
                 removed += 1
-            elif prove and facts and _prove_check(
-                    analysis, facts, canonical, check_id, verdicts):
+            elif prove and facts and check_id is not None and _prove_check(
+                    analysis, facts, check_id, verdicts):
                 doomed.append(check)
                 proved += 1
         for check in doomed:
@@ -61,24 +61,23 @@ def eliminate_redundant(analysis: CheckAnalysis,
     return removed, proved
 
 
-def _prove_check(analysis: CheckAnalysis, facts, canonical: CanonicalCheck,
-                 check_id: Optional[int],
-                 verdicts: Dict[Tuple[FrozenSet[int], int], bool]) -> bool:
-    """Ask the prover whether the available facts entail ``canonical``.
+def _prove_check(analysis: CheckAnalysis, facts: Facts, check_id: int,
+                 verdicts: Dict[Tuple[Facts, int], bool]) -> bool:
+    """Ask the prover whether the available facts entail check
+    ``check_id``.
 
-    Verdicts are memoized per ``(fact set, check id)`` -- loop-resident
+    Verdicts are memoized per ``(fact mask, check id)`` -- loop-resident
     checks are revisited with identical fact sets many times.
     """
-    if check_id is None:
-        return False
-    key = (frozenset(facts), check_id)
+    key = (facts, check_id)
     verdict = verdicts.get(key)
     if verdict is None:
         hypotheses = []
-        for fact_id in facts:
+        for fact_id in ids_of(facts):
             fact = analysis.universe.check_of(fact_id)
             hypotheses.append((fact.linexpr, fact.bound))
-        verdict = entails(hypotheses, (canonical.linexpr, canonical.bound))
+        goal = analysis.universe.check_of(check_id)
+        verdict = entails(hypotheses, (goal.linexpr, goal.bound))
         verdicts[key] = verdict
     return verdict
 

@@ -5,13 +5,15 @@ A *family* is the set of range checks sharing a range-expression
 a smaller constant is a stronger check.  The :class:`CheckUniverse`
 assigns dense integer ids to every distinct canonical check seen in a
 function -- ids are the dataflow facts of the availability and
-anticipatability systems.
+anticipatability systems, which hold a set of facts as an int bit mask
+(bit *i* stands for id *i*; :func:`ids_of` reads one).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..ir.instructions import Check
 from ..symbolic import LinearExpr
 from .canonical import CanonicalCheck
 
@@ -26,6 +28,8 @@ class CheckUniverse:
         self._family_ids: Dict[LinearExpr, int] = {}
         self.family_of: List[int] = []
         self._family_members: Dict[int, List[int]] = {}
+        #: the id of each check instruction the universe was built from
+        self.sites: Dict[Check, int] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -82,12 +86,20 @@ class CheckUniverse:
         return iter(self.checks)
 
 
-def universe_from_function(function) -> CheckUniverse:
-    """Collect every check occurring in ``function`` into a universe."""
-    from ..ir.instructions import Check
+def ids_of(mask: int) -> Iterator[int]:
+    """The check ids in a fact mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
+
+def universe_from_function(function) -> CheckUniverse:
+    """Collect every check occurring in ``function`` into a universe,
+    recording each instruction's id in ``sites``."""
     universe = CheckUniverse()
+    sites = universe.sites
     for inst in function.instructions():
         if isinstance(inst, Check):
-            universe.add(CanonicalCheck.of(inst))
+            sites[inst] = universe.add(CanonicalCheck.of(inst))
     return universe

@@ -20,13 +20,14 @@ mirrors the paper's insert-then-eliminate pipeline.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.affine import AffineEnv
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from .canonical import make_check
-from .dataflow import CheckAnalysis, EMPTY, EdgeGen
+from .dataflow import EMPTY, CheckAnalysis, EdgeGen, Facts
+from .family import ids_of
 
 Edge = Tuple[Optional[BasicBlock], BasicBlock]
 
@@ -45,19 +46,18 @@ class _PlacementSystem:
             for succ in block.successors():
                 self.edges.append((block, succ))
 
-    def earliest(self, edge: Edge) -> FrozenSet[int]:
+    def earliest(self, edge: Edge) -> Facts:
         pred, succ = edge
         down_safe = self.antin[succ]
         if pred is None:
             return down_safe
-        facts = down_safe - self.avout[pred]
         blocked = self.antout[pred] & self.analysis.transp[pred]
-        return facts - blocked
+        return down_safe & ~self.avout[pred] & ~blocked
 
 
 def safe_earliest_insertions(analysis: CheckAnalysis,
                              edge_gen: Optional[EdgeGen] = None
-                             ) -> Dict[Edge, FrozenSet[int]]:
+                             ) -> Dict[Edge, Facts]:
     """The safe-earliest insertion sets, per edge."""
     system = _PlacementSystem(analysis, edge_gen)
     return {edge: system.earliest(edge) for edge in system.edges
@@ -78,13 +78,13 @@ class LaterSystem:
         self.analysis = analysis
         self.system = _PlacementSystem(analysis, edge_gen)
         self.edges = self.system.edges
-        self.earliest: Dict[Edge, FrozenSet[int]] = {
+        self.earliest: Dict[Edge, Facts] = {
             edge: self.system.earliest(edge) for edge in self.edges}
         preds = analysis.preds
         universe = analysis.all_ids
         self.antloc = analysis.antloc
 
-        self.laterin: Dict[BasicBlock, FrozenSet[int]] = {
+        self.laterin: Dict[BasicBlock, Facts] = {
             block: universe for block in analysis.rpo}
         changed = True
         while changed:
@@ -93,24 +93,25 @@ class LaterSystem:
                 incoming_edges: List[Edge] = [(None, block)] \
                     if block is analysis.function.entry else []
                 incoming_edges.extend((p, block) for p in preds[block])
-                pieces = [self.edge_later(e) for e in incoming_edges]
-                merged = frozenset.intersection(*pieces) if pieces else EMPTY
+                merged = universe if incoming_edges else EMPTY
+                for edge in incoming_edges:
+                    merged &= self.edge_later(edge)
                 if merged != self.laterin[block]:
                     self.laterin[block] = merged
                     changed = True
 
-    def edge_later(self, edge: Edge) -> FrozenSet[int]:
+    def edge_later(self, edge: Edge) -> Facts:
         pred, _ = edge
         facts = self.earliest[edge]
         if pred is not None:
-            facts = facts | (self.laterin[pred] - self.antloc[pred])
+            facts |= self.laterin[pred] & ~self.antloc[pred]
         return facts
 
-    def insertions(self) -> Dict[Edge, FrozenSet[int]]:
+    def insertions(self) -> Dict[Edge, Facts]:
         """The classic LCM latest insertion sets, per edge."""
-        insertions: Dict[Edge, FrozenSet[int]] = {}
+        insertions: Dict[Edge, Facts] = {}
         for edge in self.edges:
-            facts = self.edge_later(edge) - self.laterin[edge[1]]
+            facts = self.edge_later(edge) & ~self.laterin[edge[1]]
             if facts:
                 insertions[edge] = facts
         return insertions
@@ -118,13 +119,13 @@ class LaterSystem:
 
 def latest_insertions(analysis: CheckAnalysis,
                       edge_gen: Optional[EdgeGen] = None
-                      ) -> Dict[Edge, FrozenSet[int]]:
+                      ) -> Dict[Edge, Facts]:
     """The latest (LATER-system) insertion sets, per edge."""
     return LaterSystem(analysis, edge_gen).insertions()
 
 
 def apply_insertions(analysis: CheckAnalysis, env: AffineEnv,
-                     insertions: Dict[Edge, FrozenSet[int]]) -> int:
+                     insertions: Dict[Edge, Facts]) -> int:
     """Materialize insertion sets as Check instructions; returns the
     number of checks inserted."""
     inserted = 0
@@ -152,10 +153,9 @@ def apply_insertions(analysis: CheckAnalysis, env: AffineEnv,
     return inserted
 
 
-def _filter_strongest(analysis: CheckAnalysis,
-                      facts: FrozenSet[int]) -> List[int]:
+def _filter_strongest(analysis: CheckAnalysis, facts: Facts) -> List[int]:
     """Drop facts implied by another fact in the same insertion set."""
-    ordered = sorted(facts,
+    ordered = sorted(ids_of(facts),
                      key=lambda cid: (analysis.universe.family_of[cid],
                                       analysis.universe.check_of(cid).bound))
     kept: List[int] = []

@@ -83,12 +83,12 @@ redundancy).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.basicblock import BasicBlock
-from .canonical import CanonicalCheck
-from .dataflow import CheckAnalysis, EdgeGen
+from .dataflow import EMPTY, CheckAnalysis, EdgeGen, Facts
 from .eliminate import compile_time_verdict
+from .family import ids_of
 from .lcm import Edge, LaterSystem, _filter_strongest, latest_insertions
 
 #: Effectively-infinite capacity; every real capacity is a profile
@@ -218,7 +218,7 @@ class _EdgeWeights:
 def lospre_insertions(analysis: CheckAnalysis,
                       edge_gen: Optional[EdgeGen] = None,
                       profile=None
-                      ) -> Tuple[Dict[Edge, FrozenSet[int]], int]:
+                      ) -> Tuple[Dict[Edge, Facts], int]:
     """Min-cost insertion sets per edge, plus the number of facts
     whose min cut strictly beat the latest placement."""
     if profile is None:
@@ -229,25 +229,26 @@ def lospre_insertions(analysis: CheckAnalysis,
     if not weights.trained:
         return latest, 0
 
-    edge_later: Dict[Edge, FrozenSet[int]] = {
+    edge_later: Dict[Edge, Facts] = {
         edge: later.edge_later(edge) for edge in later.edges}
     latest_by_fact: Dict[int, List[Edge]] = {}
     for edge, facts in latest.items():
-        for fact in facts:
+        for fact in ids_of(facts):
             latest_by_fact.setdefault(fact, []).append(edge)
-    all_facts = sorted(frozenset().union(*edge_later.values())
-                       if edge_later else frozenset())
+    all_facts = EMPTY
+    for facts in edge_later.values():
+        all_facts |= facts
 
-    chosen: Dict[Edge, Set[int]] = {}
+    chosen: Dict[Edge, Facts] = {}
     speculated = 0
-    for fact in all_facts:
+    for fact in ids_of(all_facts):
         placement, better = _place_fact(fact, later, edge_later, weights)
         if not better:
             placement = latest_by_fact.get(fact, [])
         else:
             speculated += 1
         for edge in placement:
-            chosen.setdefault(edge, set()).add(fact)
+            chosen[edge] = chosen.get(edge, EMPTY) | 1 << fact
 
     # Per-fact cuts (and LCM latest itself) price each fact
     # independently, but neither accounts for how the placements
@@ -261,25 +262,22 @@ def lospre_insertions(analysis: CheckAnalysis,
     # counts, and keep the cheapest.  The empty map reproduces the
     # plain LLS residual placement, which is what makes "trained LO
     # never executes more checks than LLS" hold per run.
-    best_map: Dict[Edge, FrozenSet[int]] = latest
+    best_map: Dict[Edge, Facts] = latest
     best_cost = _placement_cost(analysis, edge_gen, weights, latest)
     none_cost = _placement_cost(analysis, edge_gen, weights, {})
     cuts = 0
     if none_cost < best_cost:
         best_map, best_cost = {}, none_cost
-    if speculated:
-        candidate = {edge: frozenset(facts)
-                     for edge, facts in chosen.items()}
-        if _placement_cost(analysis, edge_gen, weights,
-                           candidate) < best_cost:
-            best_map, cuts = candidate, speculated
+    if speculated and _placement_cost(analysis, edge_gen, weights,
+                                      chosen) < best_cost:
+        best_map, cuts = chosen, speculated
     return best_map, cuts
 
 
 def _placement_cost(analysis: CheckAnalysis,
                     edge_gen: Optional[EdgeGen],
                     weights: "_EdgeWeights",
-                    insertions: Dict[Edge, FrozenSet[int]]) -> int:
+                    insertions: Dict[Edge, Facts]) -> int:
     """Profile-weighted dynamic check count of one candidate map.
 
     Replays the downstream pipeline read-only: insertions are modeled
@@ -314,14 +312,14 @@ def _placement_cost(analysis: CheckAnalysis,
             # it executes no check at run time
             if compile_time_verdict(check) is not None:
                 continue
-            check_id = universe.id_of(CanonicalCheck.of(check))
-            if check_id is None or check_id not in facts:
+            check_id = analysis.id_of(check)
+            if check_id is None or not facts >> check_id & 1:
                 surviving_cost += count
     return inserted_cost + surviving_cost
 
 
 def _place_fact(fact: int, later: LaterSystem,
-                edge_later: Dict[Edge, FrozenSet[int]],
+                edge_later: Dict[Edge, Facts],
                 weights: _EdgeWeights
                 ) -> Tuple[List[Edge], bool]:
     """Solve one fact's min cut; returns (cut edges, strictly_better)."""
@@ -329,11 +327,12 @@ def _place_fact(fact: int, later: LaterSystem,
     antloc = analysis.antloc
     laterin = later.laterin
 
+    bit = 1 << fact
     source, sink = 0, 1
     block_node: Dict[BasicBlock, int] = {}
     next_node = 2
     for block in analysis.rpo:
-        if fact in laterin[block]:
+        if laterin[block] & bit:
             block_node[block] = next_node
             next_node += 1
 
@@ -341,18 +340,17 @@ def _place_fact(fact: int, later: LaterSystem,
     cut_arcs: List[Tuple[int, Edge]] = []
     latest_cost = 0
     for edge in later.edges:
-        if fact not in edge_later[edge]:
+        if not edge_later[edge] & bit:
             continue
         pred, succ = edge
         node = next_node
         next_node += 1
-        if fact in later.earliest[edge]:
+        if later.earliest[edge] & bit:
             net.add_arc(source, node, _INF)
-        if pred is not None and fact in laterin[pred] \
-                and fact not in antloc[pred]:
+        if pred is not None and laterin[pred] & ~antloc[pred] & bit:
             net.add_arc(block_node[pred], node, _INF)
         weight = weights.weight(edge)
-        head = block_node.get(succ, sink) if fact in laterin[succ] else sink
+        head = block_node.get(succ, sink) if laterin[succ] & bit else sink
         arc = net.add_arc(node, head, weight)
         cut_arcs.append((arc, edge))
         # the classic latest cut: arcs leaving the region, plus arcs
@@ -361,10 +359,10 @@ def _place_fact(fact: int, later: LaterSystem,
         # training run nothing), while candidate arcs above are priced
         # hot on unknowns: the asymmetry makes the comparison
         # pessimistic for speculation, never for the baseline
-        if head == sink or fact in antloc[succ]:
+        if head == sink or antloc[succ] & bit:
             latest_cost += weights.observed(edge)
     for block, node in block_node.items():
-        if fact in antloc[block]:
+        if antloc[block] & bit:
             net.add_arc(node, sink, _INF)
 
     cut_cost = net.max_flow(source, sink)

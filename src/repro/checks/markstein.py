@@ -43,7 +43,7 @@ class MarksteinInserter(PreheaderInserter):
             body_entry = self._body_entry(loop)
             if body_entry is None:
                 continue
-            guard = self.limits.guard(loop, self.induction.ivs.get(loop),
+            guard = self.limits.guard(loop, self.ivs.get(loop),
                                       self._while_guard)
             if guard is NEVER_RUNS:
                 continue
@@ -95,7 +95,7 @@ class MarksteinInserter(PreheaderInserter):
         symbol = symbols[0]
         if abs(canonical.linexpr.coefficient(symbol)) != 1:
             return False
-        iv = self.induction.ivs.get(loop)
+        iv = self.ivs.get(loop)
         if iv is not None and symbol == iv.var.name:
             return True  # the loop's own index variable
         return not self.limits.defined_inside(symbol, loop)  # invariant scalar

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.affine import AffineEnv
 from ..analysis.loops import Loop, LoopForest
-from ..induction.analysis import InductionAnalysis, h_symbol
+from ..induction.analysis import LoopIVs, h_symbol
 from ..induction.tripcount import LoopIV
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -45,6 +45,7 @@ from .canonical import CanonicalCheck, make_check, make_guard
 from .cig import ImplicationStore
 from .config import ImplicationMode
 from .dataflow import CheckAnalysis, EdgeGen
+from .family import ids_of
 
 
 class _Sentinel:
@@ -240,16 +241,20 @@ class LoopLimits:
 
 
 class PreheaderInserter:
-    """Runs LI (``substitute_linear=False``) or LLS (``True``)."""
+    """Runs LI (``substitute_linear=False``) or LLS (``True``).
+
+    ``ivs`` maps each loop of ``forest`` to its counted-loop
+    description (:func:`repro.induction.analysis.loop_ivs`).
+    """
 
     def __init__(self, analysis: CheckAnalysis, env: AffineEnv,
-                 forest: LoopForest, induction: InductionAnalysis,
+                 forest: LoopForest, ivs: LoopIVs,
                  store: ImplicationStore) -> None:
         self.analysis = analysis
         self.function = analysis.function
         self.env = env
         self.forest = forest
-        self.induction = induction
+        self.ivs = ivs
         self.store = store
         self.limits = LoopLimits(self.function, env, "lls")
         self.edge_gen: EdgeGen = {}
@@ -273,7 +278,7 @@ class PreheaderInserter:
             body_entry = self._body_entry(loop)
             if body_entry is None:
                 continue
-            guard = self.limits.guard(loop, self.induction.ivs.get(loop),
+            guard = self.limits.guard(loop, self.ivs.get(loop),
                                       self._while_guard)
             if guard is NEVER_RUNS:
                 continue
@@ -329,13 +334,13 @@ class PreheaderInserter:
     def _loop_families(self, loop: Loop) -> Set[int]:
         """Families with at least one unconditional check inside the loop."""
         families: Set[int] = set()
-        universe = self.analysis.universe
         for block in loop.blocks:
             for inst in block.instructions:
                 if isinstance(inst, Check) and not inst.is_conditional:
-                    check_id = universe.id_of(CanonicalCheck.of(inst))
+                    check_id = self.analysis.id_of(inst)
                     if check_id is not None:
-                        families.add(universe.family_of[check_id])
+                        families.add(
+                            self.analysis.universe.family_of[check_id])
         return families
 
     def _hoist_body_checks(self, loop: Loop, body_entry: BasicBlock,
@@ -347,7 +352,7 @@ class PreheaderInserter:
         # anything from the loop.
         loop_families = self._loop_families(loop)
         by_family: Dict[int, int] = {}
-        for check_id in candidates:
+        for check_id in ids_of(candidates):
             family = self.analysis.universe.family_of[check_id]
             if family not in loop_families:
                 continue
@@ -376,7 +381,7 @@ class PreheaderInserter:
         if guard is UNPROVABLE:
             return False
         # LI hoists invariant checks only: no iv, no substitution
-        iv = self.induction.ivs.get(loop) if substitute_linear else None
+        iv = self.ivs.get(loop) if substitute_linear else None
         hoisted = self.limits.substitute(loop, iv, canonical)
         if hoisted is None:
             return False

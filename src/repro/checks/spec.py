@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Set
 
 from ..analysis.affine import AffineEnv
 from ..analysis.loops import Loop, LoopForest
-from ..induction.analysis import InductionAnalysis
+from ..induction.analysis import LoopIVs
 from ..induction.tripcount import LoopIV
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -65,13 +65,17 @@ class _Envelope:
 
 
 class SpeculativeVersioner:
-    """Versions qualifying innermost counted loops under SPEC."""
+    """Versions qualifying innermost counted loops under SPEC.
+
+    ``ivs`` maps each loop of ``forest`` to its counted-loop
+    description (:func:`repro.induction.analysis.loop_ivs`).
+    """
 
     def __init__(self, function: Function, env: AffineEnv,
-                 forest: LoopForest, induction: InductionAnalysis) -> None:
+                 forest: LoopForest, ivs: LoopIVs) -> None:
         self.function = function
         self.forest = forest
-        self.induction = induction
+        self.ivs = ivs
         #: loops actually versioned
         self.versioned = 0
         #: headers of the checked slow-path clones; the preheader
@@ -95,7 +99,7 @@ class SpeculativeVersioner:
     # -- qualification -----------------------------------------------------
 
     def _try_version(self, loop: Loop) -> None:
-        iv = self.induction.ivs.get(loop)
+        iv = self.ivs.get(loop)
         if iv is None:
             return
         exits = loop.exit_edges()

@@ -60,7 +60,7 @@ def strengthen_checks(analysis: CheckAnalysis) -> int:
                 block, antout[block]):
             if check.is_conditional:
                 continue
-            check_id = analysis.universe.id_of(CanonicalCheck.of(check))
+            check_id = analysis.id_of(check)
             if check_id is None:
                 continue
             best = analysis.cig.strongest_implying(check_id, facts,

@@ -1,7 +1,10 @@
 """Tests for dominators and dominance frontiers."""
 
 from repro.analysis import DominatorTree
+from repro.benchsuite.registry import all_programs
 from repro.ir import CondJump, Const, Function, Jump, Return
+
+from ..conftest import lower
 
 
 def diamond():
@@ -89,3 +92,31 @@ class TestFrontiers:
         # join is dominated only by entry (not by either branch)
         assert not tree.dominates(left, join)
         assert not tree.dominates(right, join)
+
+
+def frontier_by_definition(function):
+    """DF(x): the blocks y with a predecessor that x dominates, where x
+    does not strictly dominate y."""
+    tree = DominatorTree(function)
+    reachable = set(tree.rpo)
+    preds = function.predecessor_map()
+    return {x: {y for y in tree.rpo
+                if any(p in reachable and tree.dominates(x, p)
+                       for p in preds[y])
+                and not tree.strictly_dominates(x, y)}
+            for x in tree.rpo}
+
+
+class TestLazyFrontiers:
+    def test_registry_frontiers_match_the_definition(self):
+        for program in all_programs():
+            for function in lower(program.source):
+                expected = frontier_by_definition(function)
+                assert DominatorTree(function).frontier == expected
+
+    def test_late_read_sees_the_built_cfg(self):
+        f, entry, left, right, join = diamond()
+        tree = DominatorTree(f)
+        expected = frontier_by_definition(f)
+        f.split_edge(left, join)
+        assert tree.frontier == expected

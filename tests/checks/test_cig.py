@@ -4,12 +4,18 @@ paper's Figures 3 and 4."""
 import random
 
 from repro.checks import (CanonicalCheck, CheckImplicationGraph,
-                          CheckUniverse, ImplicationMode, ImplicationStore)
+                          CheckUniverse, ImplicationMode, ImplicationStore,
+                          ids_of)
 from repro.symbolic import LinearExpr
 
 
 def c(terms, bound):
     return CanonicalCheck(LinearExpr(terms, 0), bound)
+
+
+def mask(*check_ids):
+    """The fact mask of some check ids."""
+    return sum(1 << check_id for check_id in set(check_ids))
 
 
 class TestUniverse:
@@ -150,7 +156,7 @@ class TestClosures:
         weak = universe.add(c({"i": 1}, 9))
         other = universe.add(c({"j": 1}, 9))
         cig = CheckImplicationGraph(universe)
-        assert cig.weaker_set(strong) == {strong, weak}
+        assert set(ids_of(cig.weaker_set(strong))) == {strong, weak}
 
     def test_weaker_set_family_only(self):
         universe = CheckUniverse()
@@ -160,8 +166,8 @@ class TestClosures:
         store = ImplicationStore()
         store.add(c({"i": 1}, 5), c({"z": 1}, 99))
         cig = CheckImplicationGraph(universe, store)
-        assert z in cig.weaker_set(a, family_only=False)
-        assert z not in cig.weaker_set(a, family_only=True)
+        assert z in ids_of(cig.weaker_set(a, family_only=False))
+        assert z not in ids_of(cig.weaker_set(a, family_only=True))
 
     def test_strongest_implying(self):
         universe = CheckUniverse()
@@ -169,7 +175,7 @@ class TestClosures:
         mid = universe.add(c({"i": 1}, 7))
         strong = universe.add(c({"i": 1}, 5))
         cig = CheckImplicationGraph(universe)
-        best = cig.strongest_implying(weak, frozenset([weak, mid, strong]))
+        best = cig.strongest_implying(weak, mask(weak, mid, strong))
         assert best == strong
 
     def test_strongest_implying_ignores_other_families(self):
@@ -177,7 +183,7 @@ class TestClosures:
         weak = universe.add(c({"i": 1}, 9))
         other = universe.add(c({"j": 1}, 1))
         cig = CheckImplicationGraph(universe)
-        assert cig.strongest_implying(weak, frozenset([other])) is None
+        assert cig.strongest_implying(weak, mask(other)) is None
 
     def test_strongest_implying_cross_family(self):
         universe = CheckUniverse()
@@ -189,7 +195,7 @@ class TestClosures:
         # i <= 6, beating the same-family candidate's i <= 7
         store.add_edge(LinearExpr({"j": 1}, 0), LinearExpr({"i": 1}, 0), 2)
         cig = CheckImplicationGraph(universe, store)
-        candidates = frozenset([samefam, other])
+        candidates = mask(samefam, other)
         assert cig.strongest_implying(weak, candidates) == samefam
         assert cig.strongest_implying(
             weak, candidates, cross_family=True) == other
@@ -200,7 +206,24 @@ class TestClosures:
         other = universe.add(c({"j": 1}, 1))
         cig = CheckImplicationGraph(universe)
         assert cig.strongest_implying(
-            weak, frozenset([other]), cross_family=True) is None
+            weak, mask(other), cross_family=True) is None
+
+    def test_strongest_implying_tie_keeps_lowest_id(self):
+        # (j <= 4) imposes i <= 4 + 2 = 6 through the edge, the same
+        # bound as the same-family (i <= 6): the lower id wins, in
+        # whichever order the families were registered
+        edge = (LinearExpr({"j": 1}, 0), LinearExpr({"i": 1}, 0), 2)
+        for order in ([c({"j": 1}, 4), c({"i": 1}, 6)],
+                      [c({"i": 1}, 6), c({"j": 1}, 4)]):
+            universe = CheckUniverse()
+            weak = universe.add(c({"i": 1}, 9))
+            first, second = [universe.add(check) for check in order]
+            store = ImplicationStore()
+            store.add_edge(*edge)
+            cig = CheckImplicationGraph(universe, store)
+            assert first < second
+            assert cig.strongest_implying(
+                weak, mask(second, first), cross_family=True) == first
 
 
 class TestWeakerSetDefinition:
@@ -235,11 +258,10 @@ class TestWeakerSetDefinition:
                             candidates = universe.family_members(family)
                         else:
                             candidates = range(len(universe))
-                        # the check first, then candidates in order
                         expected = {check_id}
                         for other in candidates:
                             if cig.as_strong(check_id, other):
                                 expected.add(other)
                         weaker = cig.weaker_set(check_id, family_only)
-                        assert weaker == expected
-                        assert list(weaker) == list(frozenset(expected))
+                        assert set(ids_of(weaker)) == expected
+                        assert weaker == mask(*expected)

@@ -1,8 +1,13 @@
 """Tests for check availability and anticipatability (section 3.2)."""
 
+import sys
+
 from repro.checks import (CanonicalCheck, CheckAnalysis,
-                          CheckImplicationGraph, universe_from_function)
+                          CheckImplicationGraph, ids_of,
+                          universe_from_function)
+from repro.checks.dataflow import EMPTY
 from repro.ir import Check
+from repro.symbolic import LinearExpr
 
 from ..conftest import lower_ssa
 
@@ -13,6 +18,11 @@ def analyze(source):
     universe = universe_from_function(main)
     cig = CheckImplicationGraph(universe)
     return CheckAnalysis(main, universe, cig), main
+
+
+def ids(facts):
+    """The check ids of a fact mask, as a set."""
+    return set(ids_of(facts))
 
 
 STRAIGHT = """
@@ -35,15 +45,15 @@ class TestLocalSets:
             CanonicalCheck.of(_checks(main)[1]))
         weak = analysis.universe.id_of(
             CanonicalCheck.of(_checks(main)[3]))
-        assert strong in comp
-        assert weak in comp
+        assert strong in ids(comp)
+        assert weak in ids(comp)
 
     def test_antloc_is_family_restricted(self):
         analysis, main = analyze(STRAIGHT)
         antloc = analysis.antloc[main.entry]
         # anticipatability closure stays within families: everything here
         # is same-family, so all four checks appear
-        assert len(antloc) == len(analysis.universe)
+        assert len(ids(antloc)) == len(analysis.universe)
 
     def test_def_kills_family(self):
         analysis, main = analyze("""
@@ -86,7 +96,7 @@ class TestAvailability:
     def test_entry_starts_empty(self):
         analysis, main = analyze(STRAIGHT)
         avin, _ = analysis.availability()
-        assert avin[main.entry] == frozenset()
+        assert ids(avin[main.entry]) == set()
 
     def test_edge_gen_facts_enter_at_edge(self, loop_program):
         module = lower_ssa(loop_program)
@@ -103,9 +113,10 @@ class TestAvailability:
         avin_plain, _ = analysis.availability()
         avin_edge, _ = analysis.availability(
             {(header, body): [canonical]})
-        assert 0 in avin_edge[body]
+        assert 0 in ids(avin_edge[body])
         # but the fact does not leak to the zero-trip exit path
-        assert 0 not in avin_edge[exit_block] or 0 in avin_plain[exit_block]
+        assert 0 not in ids(avin_edge[exit_block]) or \
+            0 in ids(avin_plain[exit_block])
 
 
 class TestAnticipatability:
@@ -119,7 +130,7 @@ class TestAnticipatability:
         _, antout = analysis.anticipatability()
         exits = [b for b in main.blocks if not b.successors()]
         for block in exits:
-            assert antout[block] == frozenset()
+            assert ids(antout[block]) == set()
 
     def test_branch_needs_both_arms(self):
         analysis, main = analyze("""
@@ -145,14 +156,14 @@ end program
                 weak_upper = analysis.universe.id_of(canonical)
             if check.kind == "upper" and canonical.bound == 6:
                 strong_upper = analysis.universe.id_of(canonical)
-        assert weak_upper in antin[main.entry]
-        assert strong_upper not in antin[main.entry]
+        assert weak_upper in ids(antin[main.entry])
+        assert strong_upper not in ids(antin[main.entry])
 
 
 class TestStatementWalks:
     def test_facts_before_checks_order(self):
         analysis, main = analyze(STRAIGHT)
-        walk = analysis.facts_before_checks(main.entry, frozenset())
+        walk = analysis.facts_before_checks(main.entry, EMPTY)
         assert [isinstance(i, Check) for _, i, _ in walk] == [True] * 4
         # the second access's upper check sees the first one's facts
         last_facts = walk[-1][2]
@@ -160,13 +171,46 @@ class TestStatementWalks:
 
     def test_ant_before_positions(self):
         analysis, main = analyze(STRAIGHT)
-        walk = analysis.ant_before_positions(main.entry, frozenset())
+        walk = analysis.ant_before_positions(main.entry, EMPTY)
         # at the first (weakest) lower check, the stronger later lower
         # check is anticipatable
         first_check = walk[0]
         strong_lower = analysis.universe.id_of(
             CanonicalCheck.of(_checks(main)[2]))
-        assert strong_lower in first_check[2]
+        assert strong_lower in ids(first_check[2])
+
+
+class TestCheckIds:
+    def test_only_the_universe_canonicalizes(self, loop_program,
+                                             monkeypatch):
+        module = lower_ssa(loop_program)
+        callers = []
+        original = CanonicalCheck.of
+
+        def recording(check):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(check)
+
+        monkeypatch.setattr(CanonicalCheck, "of", staticmethod(recording))
+        for function in module:
+            universe = universe_from_function(function)
+            analysis = CheckAnalysis(function, universe,
+                                     CheckImplicationGraph(universe))
+            analysis.availability()
+            analysis.anticipatability()
+        assert callers
+        assert set(callers) == {"universe_from_function"}
+
+    def test_id_of_canonicalizes_a_check_added_since(self):
+        analysis, main = analyze(STRAIGHT)
+        first = _checks(main)[0]
+        assert analysis.id_of(first) == analysis.universe.sites[first]
+        copy = Check(first.linexpr, first.bound, dict(first.operands),
+                     first.kind, first.array)
+        assert copy not in analysis.universe.sites
+        assert analysis.id_of(copy) == analysis.id_of(first)
+        unseen = Check(LinearExpr({}, 99), 0, {})
+        assert analysis.id_of(unseen) is None
 
 
 def _checks(function):

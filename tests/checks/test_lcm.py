@@ -1,9 +1,9 @@
 """Tests for PRE-based check placement (SE and LNI)."""
 
 from repro.checks import (CheckAnalysis, CheckImplicationGraph,
-                          OptimizerOptions, Scheme, latest_insertions,
-                          optimize_module, safe_earliest_insertions,
-                          universe_from_function)
+                          OptimizerOptions, Scheme, ids_of,
+                          latest_insertions, optimize_module,
+                          safe_earliest_insertions, universe_from_function)
 from repro.ir import Check
 
 from ..conftest import compile_and_run, lower_ssa, run_baseline
@@ -62,8 +62,8 @@ end program
         se, main = insertion_sets(PARTIAL, earliest=True)
         lni, _ = insertion_sets(PARTIAL, earliest=False)
         # LNI inserts no earlier (no fewer facts overall, placed lower)
-        assert sum(len(v) for v in lni.values()) <= \
-            sum(len(v) for v in se.values()) + 4
+        assert sum(len(list(ids_of(v))) for v in lni.values()) <= \
+            sum(len(list(ids_of(v))) for v in se.values()) + 4
 
 
 class TestDynamicEffects:

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.analysis.dominance import DominatorTree
 from repro.benchsuite.registry import all_programs
 from repro.checks import (CheckKind, ImplicationMode, OptimizerOptions,
                           Scheme, count_checks, optimize_module)
 from repro.checks.optimizer import InductionAnalysis, LoopForest
 from repro.ir import Check, Trap, verify_module
+from repro.pipeline.cache import FrontendCache
 from repro.pipeline.driver import compile_source
 
 from ..conftest import (ALL_KINDS, ALL_MODES, ALL_SCHEMES, compile_and_run,
@@ -247,15 +249,17 @@ class TestStats:
 
 
 class TestLazyAnalyses:
-    """The loop forest and the induction analysis are built only for the
-    steps that read them: the hoists, SPEC and the INX rewrite."""
+    """The loop forest is built only for the steps that read it: the
+    hoists, SPEC and the INX rewrite.  The hoists and SPEC read each
+    loop's counted-loop description; only the INX rewrite builds the
+    induction analysis."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("scheme,builds", [
+    @pytest.mark.parametrize("scheme,forests", [
         (Scheme.NI, 0), (Scheme.CS, 0), (Scheme.LNI, 0), (Scheme.SE, 0),
         (Scheme.VR, 0), (Scheme.LI, 1), (Scheme.LLS, 1), (Scheme.ALL, 1),
         (Scheme.MCM, 1), (Scheme.LO, 1), (Scheme.SPEC, 2)])
-    def test_builds_per_function(self, monkeypatch, kind, scheme, builds):
+    def test_builds_per_function(self, monkeypatch, kind, scheme, forests):
         logs = {}
         for cls in (InductionAnalysis, LoopForest):
             log = logs[cls.__name__] = []
@@ -268,7 +272,26 @@ class TestLazyAnalyses:
                                 counting)
         compiled = compile_source(all_programs()[0].source,
                                   OptimizerOptions(scheme, kind))
-        expected = builds + (kind is CheckKind.INX)
-        for log in logs.values():
-            assert sorted(log) == sorted(list(compiled.optimize_stats)
-                                         * expected)
+        functions = list(compiled.optimize_stats)
+        inx = int(kind is CheckKind.INX)
+        assert sorted(logs["LoopForest"]) == sorted(functions
+                                                    * (forests + inx))
+        assert sorted(logs["InductionAnalysis"]) == sorted(functions * inx)
+
+    def test_warm_compile_computes_no_frontier(self, monkeypatch):
+        source = all_programs()[0].source
+        cache = FrontendCache()
+        cache.frontend(source)
+        frontiers = []
+        original = DominatorTree._compute_frontiers
+
+        def counting(tree):
+            frontiers.append(tree.function.name)
+            return original(tree)
+
+        monkeypatch.setattr(DominatorTree, "_compute_frontiers", counting)
+        compiled = compile_source(source, OptimizerOptions(Scheme.LLS),
+                                  cache=cache)
+        assert cache.hits == 1
+        assert compiled.total_stats().inserted > 0
+        assert frontiers == []
