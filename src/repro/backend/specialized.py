@@ -341,7 +341,6 @@ class _ChainPlanner:
             tail = self.real_env.get(self.red_next)
             if tail is None or tail[0] != "acc" or tail[1] != self.acc_cur:
                 raise _PlanBail()  # phi latch value is off the acc chain
-        self._aliasing_ok(ops)
         return ops
 
     # -- operand resolution ------------------------------------------------
@@ -496,14 +495,6 @@ class _ChainPlanner:
             if op.kind == "store" and op.array == array and op.dims == dims:
                 return op.src
         return None
-
-    @staticmethod
-    def _aliasing_ok(ops: List[_Op]) -> None:
-        """Reject plans where a store and a same-array access share a
-        descriptor only partially -- those pairs get runtime
-        disjointness checks at emission; nothing to reject statically.
-        (Kept as an explicit hook; equal-descriptor pairs are safe by
-        flat-offset injectivity once store strides are non-zero.)"""
 
 
 # ---------------------------------------------------------------------------
@@ -1187,9 +1178,10 @@ def _emit_function(module: Module,
         destruct_ssa(function)
     try:
         return _FlatEmitter(module, function, plans).emit(), None
-    except _Unsupported as error:
-        # same generated module, shared fn_ naming: threaded and flat
-        # functions call each other freely
+    except (_Unsupported, RecursionError) as error:
+        # the structurer recurses along the CFG, so a function too
+        # long for it runs threaded too: same generated module, shared
+        # fn_ naming, so threaded and flat functions call each other
         return _FunctionEmitter(module, function).emit(), str(error)
 
 

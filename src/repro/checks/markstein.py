@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..analysis.dominance import DominatorTree
 from ..analysis.postdom import PostDominators
 from ..ir.basicblock import BasicBlock
 from ..ir.instructions import Check
@@ -37,7 +36,6 @@ class MarksteinInserter(PreheaderInserter):
     """Preheader insertion under the MCM restrictions."""
 
     def run(self, substitute_linear: bool = True) -> int:
-        domtree = DominatorTree(self.function)
         postdom = PostDominators(self.function)
         for loop in self.forest.inner_to_outer():
             body_entry = self._body_entry(loop)
@@ -49,7 +47,7 @@ class MarksteinInserter(PreheaderInserter):
                 continue
             preheader = self.forest.get_or_create_preheader(loop)
             candidates = self._articulation_checks(
-                loop, body_entry, domtree, postdom)
+                loop, body_entry, postdom)
             for canonical in candidates:
                 self._try_hoist(loop, body_entry, preheader, guard,
                                 canonical, [], substitute_linear)
@@ -58,9 +56,9 @@ class MarksteinInserter(PreheaderInserter):
     # -- candidate selection -------------------------------------------------
 
     def _articulation_checks(self, loop, body_entry: BasicBlock,
-                             domtree: DominatorTree,
                              postdom: PostDominators
                              ) -> List[CanonicalCheck]:
+        domtree = self.forest.domtree
         latch = loop.latches[0] if len(loop.latches) == 1 else None
         if latch is None:
             return []

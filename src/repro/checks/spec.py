@@ -311,12 +311,12 @@ def _clone_inst(inst, block_map: Dict[BasicBlock, BasicBlock],
         clone = Check(inst.linexpr, inst.bound, dict(inst.operands),
                       inst.kind, inst.array,
                       [Guard(g.linexpr, g.bound, dict(g.operands))
-                       for g in inst.guards])
+                       for g in inst.guards], inst.context)
         clone.replace_uses(rename)
         return clone
     if isinstance(inst, Call):
         return Call(inst.callee, [sub(a) for a in inst.args],
-                    list(inst.array_args))
+                    list(inst.array_args), inst.line)
     if isinstance(inst, Print):
         return Print(sub(inst.value))
     if isinstance(inst, Trap):

@@ -26,6 +26,21 @@ class BasicBlock:
         self.function = function
         self.instructions: List[Instruction] = []
 
+    # -- pickling -----------------------------------------------------
+
+    def __getstate__(self):
+        # The function pickles every block's instructions after its
+        # block list (see Function.__getstate__), so pickling never
+        # recurses along CFG edges, however long the CFG.
+        return self.name, self.function
+
+    def __setstate__(self, state) -> None:
+        self.name, self.function = state
+        if not hasattr(self, "instructions"):
+            # unset unless this block was pickled on its own: then its
+            # function's state, loaded inside this one, attached them
+            self.instructions = []
+
     # -- structure ----------------------------------------------------
 
     @property

@@ -38,6 +38,24 @@ class Function:
         self.ssa_form = False
         self._name_counter = 0
 
+    # -- pickling -------------------------------------------------------
+
+    def __getstate__(self):
+        # Blocks pickle as (name, function), and the instruction lists
+        # follow the whole block list: every block is memoized before
+        # an instruction names it, so the pickle's depth does not grow
+        # with the CFG.  The verifier keeps every block an instruction
+        # names in ``blocks``.
+        state = self.__dict__.copy()
+        state["_instructions"] = [block.instructions for block in self.blocks]
+        return state
+
+    def __setstate__(self, state) -> None:
+        instructions = state.pop("_instructions")
+        self.__dict__.update(state)
+        for block, insts in zip(self.blocks, instructions):
+            block.instructions = insts
+
     # -- construction -------------------------------------------------
 
     def new_block(self, hint: str = "bb") -> BasicBlock:

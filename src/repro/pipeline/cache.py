@@ -9,8 +9,8 @@ share, and both rest on one artifact store (:class:`_ArtifactStore`):
   configuration, yet a table run evaluates ~19 configurations per
   program, so a table run pays the frontend once per program.  Every
   request gets a module no other caller holds: a miss hands over the
-  module it built and a disk hit the module it decoded, while a memory
-  hit unpickles a private copy of the cached one.
+  module it built, and every hit, from memory or disk, unpickles a
+  private copy of the cached one.
   A miss records the fresh pass events into the caller's
   :class:`PipelineTrace`, a hit a ``frontend`` (``cached=True``) and
   a ``clone`` event.
@@ -27,7 +27,7 @@ The store owns the four mechanisms the two caches have in common:
   (unbounded when unset) with an ``evictions`` count.
 * **Sealed disk read.**  With ``disk_dir`` (or ``REPRO_CACHE_DIR`` for
   the process-wide caches) entries persist across processes, framed
-  ``RPRC1 magic + sha256(pickle) + pickle``.  Any corrupt, truncated,
+  ``RPRC2 magic + sha256(pickle) + pickle``.  Any corrupt, truncated,
   legacy or unreadable entry -- including a single flipped byte that a
   raw pickle would silently decode into a different module -- is a
   miss, never a wrong result.
@@ -60,7 +60,6 @@ is built, encoded and decoded, and its trace events.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import pickle
@@ -106,10 +105,6 @@ BACKEND_CACHE_DEFAULT_MAX_ENTRIES = 512
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: What ``pickle.dumps`` raises on a module it cannot encode.
-_PICKLE_ERRORS = (pickle.PickleError, TypeError, AttributeError,
-                  RecursionError)
-
 #: Everything a disk-cache read can legitimately die of: I/O errors,
 #: truncated or garbage pickles, entries written by an incompatible
 #: version (including generated source that no longer compiles), and
@@ -123,9 +118,9 @@ _DISK_READ_ERRORS = (OSError, faults.FaultError, pickle.PickleError,
 #: Unpickling raw bytes would happily decode a flipped byte into a
 #: *different* module — silent wrong results.  The digest makes every
 #: truncation or corruption detectable, so it degrades to a miss;
-#: unframed entries written by older versions fail the magic test and
-#: are recompiled.
-_DISK_MAGIC = b"RPRC1\n"
+#: unframed entries and entries in an older pickled form (``RPRC1``)
+#: fail the magic test and are recompiled.
+_DISK_MAGIC = b"RPRC2\n"
 _DISK_DIGEST_BYTES = 32
 
 
@@ -281,8 +276,8 @@ class _ArtifactStore:
     def _file_name(self, key: Hashable) -> str:
         raise NotImplementedError
 
-    def _encode(self, entry: object) -> Optional[bytes]:
-        """The disk payload of ``entry`` (``None``: memory only)."""
+    def _encode(self, entry: object) -> bytes:
+        """The disk payload of ``entry``."""
         raise NotImplementedError
 
     def _path(self, key: Hashable) -> str:
@@ -318,8 +313,6 @@ class _ArtifactStore:
 
     def _publish(self, key: Hashable, entry: object) -> None:
         blob = self._encode(entry)
-        if blob is None:
-            return
         try:
             faults.fire("diskcache.write")
             atomic_write(self._path(key), faults.corrupt_bytes(
@@ -386,31 +379,23 @@ class _ArtifactStore:
 
 
 class _CacheEntry:
-    """A frontend module's pickled form.
+    """A frontend module's pickled form and its size.
 
-    Cloning by ``pickle.loads`` is ~5x faster than ``copy.deepcopy``
-    on this IR, so the blob is the artifact: the entry keeps no live
+    Cloning by ``pickle.loads`` is ~5x faster than a deep copy on
+    this IR, so the blob is the artifact: the entry keeps no live
     module beside it, and the module it was made from is free for the
-    caller that built or decoded it.  An unpicklable module
-    (``blob=None``) is kept live and deep-copied on every clone.
+    caller that built it.
     """
 
-    __slots__ = ("module", "blob", "size")
+    __slots__ = ("blob", "size")
 
     def __init__(self, module: Module, blob: Optional[bytes] = None) -> None:
         self.size = module_size(module)
-        if blob is None:
-            try:
-                blob = pickle.dumps(module, _PICKLE_PROTOCOL)
-            except _PICKLE_ERRORS:
-                pass
-        self.blob = blob
-        self.module = module if blob is None else None
+        self.blob = blob if blob is not None \
+            else pickle.dumps(module, _PICKLE_PROTOCOL)
 
     def clone(self) -> Module:
-        if self.blob is not None:
-            return pickle.loads(self.blob)
-        return copy.deepcopy(self.module)
+        return pickle.loads(self.blob)
 
 
 class FrontendCache(_ArtifactStore):
@@ -418,8 +403,7 @@ class FrontendCache(_ArtifactStore):
 
     ``frontend()`` returns a module no other caller holds, so callers
     may mutate (optimize, destruct) it freely: a miss hands over the
-    module it built, a disk hit the module it decoded, and every other
-    call gets a private copy.
+    module it built, and every hit gets a private copy.
     """
 
     @property
@@ -438,7 +422,7 @@ class FrontendCache(_ArtifactStore):
         digest, rotate_loops, inline = key
         return "%s-%d%d.frontend.pickle" % (digest, rotate_loops, inline)
 
-    def _encode(self, entry: _CacheEntry) -> Optional[bytes]:
+    def _encode(self, entry: _CacheEntry) -> bytes:
         return entry.blob
 
     def frontend(self, source: str, rotate_loops: bool = False,
@@ -447,16 +431,12 @@ class FrontendCache(_ArtifactStore):
         """The frontend module for ``source``, the caller's own.
 
         A miss compiles the module, caches its pickled form and hands
-        over the module itself.  A disk hit unpickles the entry once,
-        to check its type, and hands over that module; the entry keeps
-        only the blob, so a concurrent hit on it unpickles its own.
-        Any other hit gets a private copy of the cached module.  Every
-        hit records a ``frontend`` (cached) and a ``clone`` event
-        instead of the pass events.  An unpicklable module is
-        deep-copied on every call, the miss included.
+        over the module itself.  Every hit unpickles a private copy of
+        the cached blob; a disk hit unpickles it once more first, to
+        check its type.  A hit records a ``frontend`` (cached) and a
+        ``clone`` event instead of the pass events.
         """
         built = []
-        decoded = []
 
         def build() -> _CacheEntry:
             compile_trace = PipelineTrace()
@@ -468,31 +448,21 @@ class FrontendCache(_ArtifactStore):
             return _CacheEntry(module)
 
         def decode(blob: bytes) -> Optional[_CacheEntry]:
-            start = time.perf_counter()
             module = pickle.loads(blob)
-            if not isinstance(module, Module):
-                return None
-            entry = _CacheEntry(module, blob)
-            # only a read that yields its entry hands the module over
-            decoded.append((module, time.perf_counter() - start))
-            return entry
+            return _CacheEntry(module, blob) \
+                if isinstance(module, Module) else None
 
         key = self.key(source, rotate_loops, inline)
         entry, fresh = self._lookup(key, build, decode)
-        if fresh and entry.blob is not None:
+        if fresh:
             return built[0]  # only this call holds it: hits unpickle
-        if trace is not None and not fresh:
+        start = time.perf_counter()
+        module = entry.clone()
+        if trace is not None:
             trace.record("frontend", 0.0, size_after=entry.size,
                          cached=True)
-        if decoded:
-            module, seconds = decoded[0]  # this call's own disk read
-        else:
-            start = time.perf_counter()
-            module = entry.clone()
-            seconds = time.perf_counter() - start
-        if trace is not None:
-            trace.record("clone", seconds, size_before=entry.size,
-                         size_after=entry.size)
+            trace.record("clone", time.perf_counter() - start,
+                         size_before=entry.size, size_after=entry.size)
         return module
 
     def stats(self) -> Dict[str, int]:
@@ -581,12 +551,9 @@ class BackendCache(_ArtifactStore):
     def _file_name(self, key: str) -> str:
         return "%s.pybackend.pickle" % key
 
-    def _encode(self, compiled) -> Optional[bytes]:
-        try:
-            return pickle.dumps((compiled.module, compiled.source),
-                                _PICKLE_PROTOCOL)
-        except _PICKLE_ERRORS:
-            return None
+    def _encode(self, compiled) -> bytes:
+        return pickle.dumps((compiled.module, compiled.source),
+                            _PICKLE_PROTOCOL)
 
     def compiled(self, module: Module,
                  trace: Optional[PipelineTrace] = None,

@@ -105,6 +105,53 @@ class TestSlowPath:
             assert spec_out == base_out
 
 
+class TestSlowPathProvenance:
+    """The slow-path clone keeps each inlined check's call-site context,
+    so a trap there names the callee and call line as NI's does."""
+
+    CALLER = """
+program p
+  input integer :: n = 5, k = 9
+  integer :: i
+  real :: a(1:n)
+  a(1) = 0.0
+  do i = 1, k
+    call put(n, k, a)
+  end do
+  print a(1)
+end program
+
+subroutine put(m, j, x)
+  integer :: m, j
+  real :: x(1:m)
+  x(j) = 1.0
+end subroutine
+"""
+    INPUTS = {"n": 5, "k": 9}
+
+    def test_the_slow_path_traps(self):
+        options = OptimizerOptions(scheme=Scheme.SPEC, inline=True)
+        counters, _, trapped = run_counters(self.CALLER, options,
+                                            self.INPUTS)
+        assert trapped
+        assert counters.spec_misses == 1
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "specialized"])
+    def test_trap_message_matches_ni(self, engine):
+        messages = []
+        for scheme in (Scheme.NI, Scheme.SPEC):
+            program = compile_source(
+                self.CALLER, OptimizerOptions(scheme=scheme, inline=True))
+            with pytest.raises(RangeTrap) as trap:
+                if engine == "interp":
+                    program.run(self.INPUTS)
+                else:
+                    program.run_compiled(self.INPUTS, engine=engine)
+            messages.append(str(trap.value))
+        assert messages[0].endswith(" in put (call at line 8)")
+        assert messages[1] == messages[0]
+
+
 class TestNegativeOffset:
     NEG = """
 program p

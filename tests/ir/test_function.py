@@ -1,10 +1,13 @@
 """Tests for Function/Module structure and CFG edits."""
 
+import pickle
+
 import pytest
 
 from repro.errors import IRError
 from repro.ir import (ArrayType, Const, Dimension, Function, INT, Jump,
-                      Module, Phi, REAL, Return, CondJump, Var)
+                      Module, Phi, REAL, Return, CondJump, Var,
+                      format_function)
 
 
 def diamond():
@@ -115,3 +118,54 @@ class TestModule:
     def test_lookup_unknown(self):
         with pytest.raises(IRError):
             Module().lookup("ghost")
+
+
+def diamonds(count):
+    """A function of ``count`` diamonds in a row: 3 * count + 1 blocks,
+    each join's phi merging the two arms."""
+    f = Function("long", is_main=True)
+    block = f.new_block("entry")
+    for index in range(count):
+        left, right = f.new_block("left"), f.new_block("right")
+        join = f.new_block("join")
+        block.append(CondJump(Const(True), left, right))
+        left.append(Jump(join))
+        right.append(Jump(join))
+        join.append(Phi(Var("x%d" % index, INT),
+                        [(left, Const(1)), (right, Const(2))]))
+        block = join
+    block.append(Return())
+    return f
+
+
+def round_trip(obj):
+    return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+class TestPickle:
+    """A pickle round trip is how IR is copied; its depth must not grow
+    with the CFG."""
+
+    def test_long_function_round_trips(self):
+        f = diamonds(700)
+        assert len(f.blocks) >= 2000
+        clone = round_trip(f)  # under the default recursion limit
+        assert format_function(clone) == format_function(f)
+        assert clone.entry is clone.blocks[0]
+        for block in clone.blocks:
+            assert block.function is clone
+            assert all(inst.block is block for inst in block.instructions)
+
+    def test_block_pickled_alone_brings_its_function(self):
+        f, entry, left, right, join = diamond()
+        clone = round_trip(left)
+        assert clone.function.blocks[1] is clone
+        assert format_function(clone.function) == format_function(f)
+        assert clone.successors() == [clone.function.blocks[3]]
+
+    def test_instruction_pickled_alone_brings_its_function(self):
+        f, entry, left, right, join = diamond()
+        clone = round_trip(entry.terminator)
+        assert clone.block.terminator is clone
+        assert clone.block.function.entry is clone.block
+        assert format_function(clone.block.function) == format_function(f)

@@ -111,23 +111,7 @@ class TestOwnership:
         cache.frontend(loop_program)
         (entry,) = cache._memory.values()
         assert entry.blob is not None
-        assert entry.module is None
-
-    def test_unpicklable_module_is_copied_on_every_call(self, loop_program,
-                                                        monkeypatch):
-        def refuse(*args, **kwargs):
-            raise pickle.PicklingError("refused")
-
-        monkeypatch.setattr(cache_module.pickle, "dumps", refuse)
-        cache = FrontendCache()
-        modules = [cache.frontend(loop_program) for _ in range(3)]
-        (entry,) = cache._memory.values()
-        assert entry.blob is None
-        assert cache.frontend_compiles == 1
-        held = [entry.module] + modules
-        assert len({id(module) for module in held}) == len(held)
-        expected = format_module(run_frontend(loop_program))
-        assert all(format_module(module) == expected for module in modules)
+        assert not hasattr(entry, "module")
 
 
 class TestDiskCache:
@@ -182,8 +166,10 @@ class TestDiskCache:
         assert m1.counters.instructions == m2.counters.instructions
         assert m1.output == m2.output
 
-    def test_disk_hit_unpickles_once(self, loop_program, tmp_path,
-                                     monkeypatch):
+    def test_disk_hit_type_checks_then_clones(self, loop_program, tmp_path,
+                                              monkeypatch):
+        """A disk hit unpickles its entry once to check its type and
+        once more for the caller's copy."""
         disk = str(tmp_path)
         FrontendCache(disk_dir=disk).frontend(loop_program)
         loads = []
@@ -198,21 +184,19 @@ class TestDiskCache:
         trace = PipelineTrace()
         module = cache.frontend(loop_program, trace=trace)
         assert cache.disk_hits == 1
-        assert len(loads) == 1
+        assert len(loads) == 2
         assert trace.frontend_was_cached()
         assert trace.run_count("clone") == 1
-        (entry,) = cache._memory.values()
-        assert entry.module is None
         assert format_module(module) == \
             format_module(run_frontend(loop_program))
         cache.frontend(loop_program)  # a memory hit unpickles its own
-        assert len(loads) == 2
+        assert len(loads) == 3
 
     def test_failed_disk_read_hands_over_nothing(self, loop_program,
                                                  tmp_path, monkeypatch):
         """A read that decodes the module but fails to make its entry
-        is a miss; an unpicklable rebuild is then deep-copied, never
-        answered with the module the failed read decoded."""
+        is a miss: the caller gets the rebuilt module, never the one
+        the failed read decoded."""
         disk = str(tmp_path)
         FrontendCache(disk_dir=disk).frontend(loop_program)
         loaded = []
@@ -230,12 +214,8 @@ class TestDiskCache:
                 raise AttributeError("entry size")
             return real_size(module)
 
-        def unpicklable(*args, **kwargs):
-            raise pickle.PicklingError("unpicklable")
-
         monkeypatch.setattr(cache_module.pickle, "loads", recording)
         monkeypatch.setattr(cache_module, "module_size", size_fails_once)
-        monkeypatch.setattr(cache_module.pickle, "dumps", unpicklable)
         cache = FrontendCache(disk_dir=disk)
         module = cache.frontend(loop_program)
         assert cache.disk_hits == 0

@@ -47,7 +47,8 @@ class TestSealedEntryFormat:
         lambda data: data[:40] + b"\xff" + data[41:],  # one flipped byte
         lambda data: b"",                              # empty file
         lambda data: b"not a sealed entry at all",     # foreign content
-        lambda data: data[len(b"RPRC1\n"):],           # frame stripped
+        lambda data: data[len(b"RPRC2\n"):],           # frame stripped
+        lambda data: b"RPRC1\n" + data[6:],            # older pickled form
     ])
     def test_any_damage_is_detected(self, mangle):
         sealed = _seal_entry(b"payload bytes of a module pickle")

@@ -137,7 +137,7 @@ class TestWriteFaultsDegradeToDuplicateWork:
     def test_torn_entry_is_rejected_not_served(self, tmp_path):
         cache = tmp_path / "store"
         cache.mkdir()
-        # the first process publishes corrupted bytes; the RPRC1
+        # the first process publishes corrupted bytes; the RPRC2
         # header/checksum makes the second treat them as a miss
         a, = _race(cache, tmp_path / "go",
                    faults_by_child=("diskcache.write:corrupt:p=1.0",))
