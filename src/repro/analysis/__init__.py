@@ -1,12 +1,12 @@
 """CFG analyses used as substrates by the check optimizer: block
-orders, dominance, loops, affine forms and value ranges."""
+orders, dominance and postdominance, loops, affine forms and value
+ranges."""
 
 from .affine import AffineEnv, compute_affine_forms
 from .dataflow import reverse_postorder
-from .dominance import DominatorTree
+from .dominance import DominatorTree, PostDominators
 from .intervals import Interval, IntervalAnalysis
 from .loops import Loop, LoopForest
-from .postdom import PostDominators
 
 __all__ = [
     "AffineEnv", "DominatorTree", "Interval", "IntervalAnalysis", "Loop",

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Set
 
 from ..errors import IRError
 from ..ir.basicblock import BasicBlock
-from ..ir.function import Function
+from ..ir.function import Function, retarget
 from ..ir.instructions import Jump, Phi
 from .dominance import DominatorTree
 
@@ -51,7 +51,13 @@ class Loop:
 
 
 class LoopForest:
-    """All natural loops of a function, organized into a nesting forest."""
+    """All natural loops of a function, organized into a nesting forest.
+
+    ``loops`` lists every loop and ``by_header`` finds one by its
+    header; each loop holds its member blocks, latches, parent and
+    children.  There is no block-to-loop map: ask ``block in
+    loop.blocks`` of the loops at hand.
+    """
 
     def __init__(self, function: Function,
                  domtree: Optional[DominatorTree] = None) -> None:
@@ -59,7 +65,6 @@ class LoopForest:
         self.domtree = domtree or DominatorTree(function)
         self.loops: List[Loop] = []
         self.by_header: Dict[BasicBlock, Loop] = {}
-        self._innermost: Dict[BasicBlock, Optional[Loop]] = {}
         self._find_loops()
         self._build_forest()
 
@@ -97,20 +102,8 @@ class LoopForest:
                     loop.parent = outer
                     outer.children.append(loop)
                     break
-        self._innermost = {}
-        for block in self.domtree.rpo:
-            best: Optional[Loop] = None
-            for loop in self.loops:
-                if block in loop.blocks:
-                    if best is None or len(loop.blocks) < len(best.blocks):
-                        best = loop
-            self._innermost[block] = best
 
     # -- queries ---------------------------------------------------------
-
-    def innermost(self, block: BasicBlock) -> Optional[Loop]:
-        """The innermost loop containing ``block``, or None."""
-        return self._innermost.get(block)
 
     def top_level(self) -> List[Loop]:
         """Loops with no parent."""
@@ -161,11 +154,10 @@ class LoopForest:
             raise IRError("loop at %s has no entry edge" % loop.header.name)
         pre = function.new_block("preheader")
         pre.append(Jump(loop.header))
-        for pred in outside:
-            term = pred.terminator
-            if term is None:
-                raise IRError("unterminated predecessor %s" % pred.name)
-            _retarget_terminator(term, loop.header, pre)
+        # once per block: retarget moves both arms of a CondJump that
+        # names the header twice
+        for pred in dict.fromkeys(outside):
+            retarget(pred.terminator, loop.header, pre)
         for phi in loop.header.phis():
             outside_entries = [(blk, val) for blk, val in phi.incoming
                                if blk in outside]
@@ -186,17 +178,4 @@ class LoopForest:
         while node is not None:
             node.blocks.add(pre)
             node = node.parent
-        self._innermost[pre] = loop.parent
         return pre
-
-
-def _retarget_terminator(term, old: BasicBlock, new: BasicBlock) -> None:
-    if isinstance(term, Jump):
-        if term.target is old:
-            term.target = new
-            return
-        raise IRError("jump does not target %s" % old.name)
-    if getattr(term, "if_true", None) is old:
-        term.if_true = new
-    if getattr(term, "if_false", None) is old:
-        term.if_false = new

@@ -130,12 +130,11 @@ def _fn_ref(name: str) -> str:
 
 
 def _is_phi_copy(inst) -> bool:
-    # getattr tolerates instructions unpickled from pre-flag caches
-    return isinstance(inst, Assign) and getattr(inst, "is_phi_copy", False)
+    return isinstance(inst, Assign) and inst.is_phi_copy
 
 
 def _is_synthetic_jump(inst) -> bool:
-    return isinstance(inst, Jump) and getattr(inst, "is_synthetic", False)
+    return isinstance(inst, Jump) and inst.is_synthetic
 
 
 class _FunctionEmitter:
@@ -473,7 +472,7 @@ class _FunctionEmitter:
                 indent += 1
             line(indent, "if (%s) > %d:"
                  % (self._linexpr(inst.linexpr), inst.bound))
-            context = getattr(inst, "context", "")
+            context = inst.context
             line(indent + 1, "_rt.trap(%r)"
                  % ("range check failed: %s <= %d (array %s, %s bound)%s"
                     % (inst.linexpr, inst.bound, inst.array or "?",

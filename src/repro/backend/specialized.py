@@ -48,8 +48,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import faults
 from ..analysis.affine import AffineEnv, compute_affine_forms
+from ..analysis.dominance import PostDominators
 from ..analysis.loops import Loop, LoopForest
-from ..analysis.postdom import PostDominators
 from ..induction.tripcount import _phi_edges, find_loop_iv
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function, Module
@@ -604,13 +604,6 @@ class _FlatEmitter(_FunctionEmitter):
 
     # -- structurer --------------------------------------------------------
 
-    def _ipdom(self, block: BasicBlock) -> Optional[BasicBlock]:
-        cands = self.pdom.pdom.get(block, set()) - {block}
-        for cand in cands:
-            if self.pdom.pdom.get(cand, set()) == cands:
-                return cand
-        return None
-
     def _goto(self, target: BasicBlock, stop: Optional[BasicBlock],
               indent: int) -> None:
         if target is stop:
@@ -712,7 +705,7 @@ class _FlatEmitter(_FunctionEmitter):
         elif isinstance(term, Jump):
             self._goto(term.target, stop, indent)
         elif isinstance(term, CondJump):
-            join = self._ipdom(block)
+            join = self.pdom.ipdom.get(block)
             self._line(indent, "if %s:" % self._value(term.cond))
             self._emit_branch(term.if_true, join, indent + 1)
             self._line(indent, "else:")

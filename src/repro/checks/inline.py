@@ -236,8 +236,7 @@ class _Inliner:
 
         var_subst, array_map = self._bind_args(caller, block, call, clone,
                                                site)
-        context = "in %s (call at line %d)" % (
-            callee.name, getattr(call, "line", 0))
+        context = "in %s (call at line %d)" % (callee.name, call.line)
         self._rewrite_clone(caller, clone, var_subst, array_map, context,
                             cont)
 
@@ -295,8 +294,7 @@ class _Inliner:
                 self._rewrite_def(inst, var_subst)
                 inst.replace_uses(var_subst)
                 self._rewrite_arrays(inst, array_map)
-                if isinstance(inst, Check) and \
-                        not getattr(inst, "context", ""):
+                if isinstance(inst, Check) and not inst.context:
                     # keep the innermost provenance on nested inlining
                     inst.context = context
                 if isinstance(inst, Return):

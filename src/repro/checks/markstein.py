@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..analysis.postdom import PostDominators
+from ..analysis.dominance import PostDominators
 from ..ir.basicblock import BasicBlock
 from ..ir.instructions import Check
 from .canonical import CanonicalCheck

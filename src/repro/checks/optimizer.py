@@ -17,7 +17,7 @@ expressions (INX) first, and the implication machinery can be ablated
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..analysis.affine import AffineEnv, compute_affine_forms
 from ..analysis.dominance import DominatorTree
@@ -114,6 +114,9 @@ class RangeCheckOptimizer:
         self._forest: Optional[LoopForest] = None
         self._induction: Optional[InductionAnalysis] = None
         self._ivs: Optional[LoopIVs] = None
+        #: headers of SPEC's checked slow-path clones, which the LLS
+        #: hoist after it leaves NI-exact
+        self.slow_headers: Set[str] = set()
 
     # -- analysis plumbing ------------------------------------------------
 
@@ -251,6 +254,7 @@ class RangeCheckOptimizer:
                                          self.forest, self.ivs)
         versioner.run()
         self.stats.speculated += versioner.versioned
+        self.slow_headers |= versioner.slow_headers
 
     def value_range(self) -> None:
         """VR: delete or trap checks an interval analysis decides."""
@@ -266,7 +270,8 @@ class RangeCheckOptimizer:
 
     def _hoist(self, inserter_class, substitute_linear: bool) -> None:
         inserter = inserter_class(self._make_analysis(), self.env,
-                                  self.forest, self.ivs, self.store)
+                                  self.forest, self.ivs, self.store,
+                                  self.slow_headers)
         inserter.run(substitute_linear)
         self.stats.inserted += inserter.inserted
         for edge, checks in inserter.edge_gen.items():

@@ -29,7 +29,8 @@ the loop's header-to-body edge, which is where the guard is known true
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Callable, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..analysis.affine import AffineEnv
 from ..analysis.loops import Loop, LoopForest
@@ -245,17 +246,22 @@ class PreheaderInserter:
 
     ``ivs`` maps each loop of ``forest`` to its counted-loop
     description (:func:`repro.induction.analysis.loop_ivs`).
+    ``slow_headers`` names the headers of SPEC's checked slow-path
+    clones: those loops must stay exactly as the NI scheme would leave
+    them (elimination only, never insertion), so they are skipped.
     """
 
     def __init__(self, analysis: CheckAnalysis, env: AffineEnv,
                  forest: LoopForest, ivs: LoopIVs,
-                 store: ImplicationStore) -> None:
+                 store: ImplicationStore,
+                 slow_headers: AbstractSet[str]) -> None:
         self.analysis = analysis
         self.function = analysis.function
         self.env = env
         self.forest = forest
         self.ivs = ivs
         self.store = store
+        self.slow_headers = slow_headers
         self.limits = LoopLimits(self.function, env, "lls")
         self.edge_gen: EdgeGen = {}
         self.inserted = 0
@@ -269,11 +275,8 @@ class PreheaderInserter:
     def run(self, substitute_linear: bool) -> int:
         """Process all loops inner-to-outer; returns insertions made."""
         antin, _ = self.analysis.anticipatability()
-        # SPEC slow-path clones must stay exactly as the NI scheme
-        # would leave them: elimination only, never insertion
-        slow_headers = getattr(self.function, "spec_slow_headers", ()) or ()
         for loop in self.forest.inner_to_outer():
-            if loop.header.name in slow_headers:
+            if loop.header.name in self.slow_headers:
                 continue
             body_entry = self._body_entry(loop)
             if body_entry is None:

@@ -44,11 +44,10 @@ from ..induction.analysis import LoopIVs
 from ..induction.tripcount import LoopIV
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import (Assign, BinOp, Call, Check, CondJump, Guard,
-                               Jump, Load, Phi, Print, Return, SpecGuard,
-                               Store, Trap, UnOp)
+from ..ir.instructions import (Check, CondJump, Guard, Phi, SpecGuard,
+                               clone_instruction)
 from ..ir.types import BOOL
-from ..ir.values import Value, Var
+from ..ir.values import Var
 from ..symbolic import LinearExpr
 from .canonical import CanonicalCheck, make_guard
 from .preheader import NEVER_RUNS, UNPROVABLE, LoopLimits
@@ -90,10 +89,6 @@ class SpeculativeVersioner:
             if loop.children:
                 continue  # versioning clones whole loops: innermost only
             self._try_version(loop)
-        if self.slow_headers:
-            existing = set(getattr(self.function,
-                                   "spec_slow_headers", ()) or ())
-            self.function.spec_slow_headers = existing | self.slow_headers
         return self.versioned
 
     # -- qualification -----------------------------------------------------
@@ -183,7 +178,9 @@ class SpeculativeVersioner:
         env_guards = self.limits.materialize(
             preheader, iv, [e.guard for e in envelopes if e.guard is not None])
 
-        # 2. clone the loop: fresh blocks, fresh names for inside defs
+        # 2. clone the loop: fresh blocks, fresh names for inside defs;
+        # values defined outside keep their names (they dominate the
+        # clone through the preheader)
         ordered = [b for b in function.blocks if b in loop.blocks]
         block_map: Dict[BasicBlock, BasicBlock] = {
             block: function.new_block("specslow") for block in ordered}
@@ -200,7 +197,7 @@ class SpeculativeVersioner:
         for block in ordered:
             clone = block_map[block]
             for inst in block.instructions:
-                clone.append(_clone_inst(inst, block_map, rename))
+                clone.append(clone_instruction(inst, rename, block_map))
         slow_header = block_map[loop.header]
         self.slow_headers.add(slow_header.name)
 
@@ -277,56 +274,3 @@ class SpeculativeVersioner:
                 if used:
                     inst.replace_uses({Var(name): merge_var(name)
                                        for name in used})
-
-
-def _clone_value(value: Value, rename: Dict[Var, Var]) -> Value:
-    if isinstance(value, Var):
-        return rename.get(value, value)
-    return value
-
-
-def _clone_inst(inst, block_map: Dict[BasicBlock, BasicBlock],
-                rename: Dict[Var, Var]):
-    """A structural copy of ``inst`` with blocks and loop-internal
-    definitions remapped.  Values defined outside the loop keep their
-    names (they dominate the clone through the preheader)."""
-    sub = lambda v: _clone_value(v, rename)
-    blk = lambda b: block_map.get(b, b)
-    if isinstance(inst, Phi):
-        return Phi(sub(inst.dest),
-                   [(blk(b), sub(v)) for b, v in inst.incoming])
-    if isinstance(inst, Assign):
-        return Assign(sub(inst.dest), sub(inst.src), inst.is_phi_copy)
-    if isinstance(inst, BinOp):
-        return BinOp(sub(inst.dest), inst.op, sub(inst.lhs), sub(inst.rhs))
-    if isinstance(inst, UnOp):
-        return UnOp(sub(inst.dest), inst.op, sub(inst.operand))
-    if isinstance(inst, Load):
-        return Load(sub(inst.dest), inst.array,
-                    [sub(i) for i in inst.indices])
-    if isinstance(inst, Store):
-        return Store(inst.array, [sub(i) for i in inst.indices],
-                     sub(inst.src))
-    if isinstance(inst, Check):
-        clone = Check(inst.linexpr, inst.bound, dict(inst.operands),
-                      inst.kind, inst.array,
-                      [Guard(g.linexpr, g.bound, dict(g.operands))
-                       for g in inst.guards], inst.context)
-        clone.replace_uses(rename)
-        return clone
-    if isinstance(inst, Call):
-        return Call(inst.callee, [sub(a) for a in inst.args],
-                    list(inst.array_args), inst.line)
-    if isinstance(inst, Print):
-        return Print(sub(inst.value))
-    if isinstance(inst, Trap):
-        return Trap(inst.message)
-    if isinstance(inst, Jump):
-        return Jump(blk(inst.target), inst.is_synthetic)
-    if isinstance(inst, CondJump):
-        return CondJump(sub(inst.cond), blk(inst.if_true),
-                        blk(inst.if_false))
-    if isinstance(inst, Return):
-        return Return(sub(inst.value) if inst.value is not None else None)
-    raise TypeError("cannot clone %r" % inst)
-

@@ -186,9 +186,8 @@ class Machine:
                 continue
             if isinstance(inst, Assign):
                 # phi copies (SSA destruction) count as phis, exactly
-                # like the phi moves they lower; getattr tolerates
-                # instructions unpickled from pre-flag cache entries
-                if getattr(inst, "is_phi_copy", False):
+                # like the phi moves they lower
+                if inst.is_phi_copy:
                     counters.phis += 1
                 else:
                     counters.instructions += 1
@@ -217,7 +216,7 @@ class Machine:
                     inst.op, self._eval(frame, inst.operand))
                 continue
             if isinstance(inst, Jump):
-                if getattr(inst, "is_synthetic", False):
+                if inst.is_synthetic:
                     counters.phis += 1  # landing block of a split edge
                 else:
                     counters.instructions += 1
@@ -264,8 +263,7 @@ class Machine:
             self.counters.traps += 1
             # Inlined checks carry the callee name and original call
             # line, so the trap reads like the un-inlined program's.
-            context = getattr(check, "context", "")
-            suffix = " %s" % context if context else ""
+            suffix = " %s" % check.context if check.context else ""
             raise RangeTrap(
                 "range check failed: %s = %d > %d (array %s, %s bound)%s"
                 % (check.linexpr, value, check.bound, check.array or "?",

@@ -16,7 +16,7 @@ class BasicBlock:
 
     Phi instructions, when present, must form a prefix of the block.
     Successor edges are derived from the terminator; predecessor lists
-    are maintained by :class:`~repro.ir.function.Function`.
+    are computed by :class:`~repro.ir.function.Function`.
     """
 
     __slots__ = ("name", "function", "instructions")
@@ -54,12 +54,6 @@ class BasicBlock:
         """Successor blocks per the terminator (empty if unterminated)."""
         term = self.terminator
         return term.successors() if term is not None else []
-
-    def predecessors(self) -> List["BasicBlock"]:
-        """Predecessor blocks (delegates to the owning function)."""
-        if self.function is None:
-            raise IRError("block %s is not attached to a function" % self.name)
-        return self.function.predecessors(self)
 
     # -- mutation -----------------------------------------------------
 

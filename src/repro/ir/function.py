@@ -6,7 +6,7 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from ..errors import IRError
 from .basicblock import BasicBlock
-from .instructions import Instruction, Jump
+from .instructions import CondJump, Instruction, Jump
 from .types import ArrayType, ScalarType
 from .values import Var
 
@@ -105,22 +105,6 @@ class Function:
         return [pred for pred in self.blocks
                 for succ in pred.successors() if succ is block]
 
-    def reachable_blocks(self) -> List[BasicBlock]:
-        """Blocks reachable from the entry, in depth-first order."""
-        if self.entry is None:
-            return []
-        seen = {self.entry}
-        order = [self.entry]
-        stack = [self.entry]
-        while stack:
-            block = stack.pop()
-            for succ in block.successors():
-                if succ not in seen:
-                    seen.add(succ)
-                    order.append(succ)
-                    stack.append(succ)
-        return order
-
     def instructions(self) -> Iterator[Instruction]:
         """Iterate every instruction in every block."""
         for block in self.blocks:
@@ -128,7 +112,8 @@ class Function:
 
     def remove_unreachable_blocks(self) -> List[BasicBlock]:
         """Drop unreachable blocks; returns the removed blocks."""
-        reachable = set(self.reachable_blocks())
+        from ..analysis.dataflow import reverse_postorder
+        reachable = set(reverse_postorder(self))
         removed = [b for b in self.blocks if b not in reachable]
         if removed:
             self.blocks = [b for b in self.blocks if b in reachable]
@@ -146,19 +131,11 @@ class Function:
         edges.  Phi nodes in ``succ`` are retargeted to the new block.
         """
         term = pred.terminator
-        if term is None:
-            raise IRError("cannot split edge from unterminated block %s"
-                          % pred.name)
+        if term is None or succ not in term.successors():
+            raise IRError("no edge %s -> %s to split" % (pred.name, succ.name))
         middle = self.new_block("edge")
         middle.append(Jump(succ))
-        retargeted = False
-        for succ_block in list(term.successors()):
-            if succ_block is succ:
-                _retarget(term, succ, middle)
-                retargeted = True
-                break
-        if not retargeted:
-            raise IRError("no edge %s -> %s to split" % (pred.name, succ.name))
+        retarget(term, succ, middle)
         for phi in succ.phis():
             for idx, (blk, value) in enumerate(phi.incoming):
                 if blk is pred:
@@ -170,17 +147,18 @@ class Function:
         return "Function(%r, %d blocks)" % (self.name, len(self.blocks))
 
 
-def _retarget(term: Instruction, old: BasicBlock, new: BasicBlock) -> None:
-    if isinstance(term, Jump):
-        if term.target is old:
-            term.target = new
-    else:
-        if getattr(term, "if_true", None) is old:
+def retarget(term: Instruction, old: BasicBlock, new: BasicBlock) -> None:
+    """Point every arm of terminator ``term`` that names ``old`` at
+    ``new``; raises when none does."""
+    if isinstance(term, Jump) and term.target is old:
+        term.target = new
+    elif isinstance(term, CondJump) and old in (term.if_true, term.if_false):
+        if term.if_true is old:
             term.if_true = new
-        elif getattr(term, "if_false", None) is old:
+        if term.if_false is old:
             term.if_false = new
-        else:
-            raise IRError("terminator does not target block %s" % old.name)
+    else:
+        raise IRError("terminator does not target block %s" % old.name)
 
 
 class Module:

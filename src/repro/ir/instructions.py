@@ -277,9 +277,7 @@ class Check(Instruction):
     ``context`` carries call-site provenance for checks the inliner
     cloned out of a subroutine body (e.g. ``"in f, inlined at line
     12"``); trap messages append it so a failure names the callee and
-    call line rather than the clone's synthetic block label.  Read it
-    with ``getattr(check, "context", "")`` — instructions unpickled
-    from pre-inline cache entries lack the slot.
+    call line rather than the clone's synthetic block label.
     """
 
     __slots__ = ("linexpr", "bound", "operands", "kind", "array", "guards",
@@ -338,9 +336,8 @@ class Check(Instruction):
         # context is part of the printed form on purpose: back-end trap
         # messages embed it, so it must reach the BackendCache
         # fingerprint (which hashes the printed IR)
-        context = getattr(self, "context", "")
-        if context:
-            body += " @<%s>" % context
+        if self.context:
+            body += " @<%s>" % self.context
         if self.guards:
             conds = " and ".join(str(g) for g in self.guards)
             return "cond-%s if %s" % (body, conds)
@@ -461,8 +458,7 @@ class Call(Instruction):
     callee's array parameters.  ``line`` is the source line of the call
     statement (0 when synthesized); the inliner stamps it into the
     ``context`` of every check it clones so trap messages can name the
-    call site.  Read it with ``getattr(call, "line", 0)`` —
-    instructions unpickled from pre-inline cache entries lack the slot.
+    call site.
     """
 
     __slots__ = ("callee", "args", "array_args", "line")
@@ -577,6 +573,57 @@ class Return(Instruction):
 
     def __str__(self) -> str:
         return "return" if self.value is None else "return %s" % self.value
+
+
+def clone_instruction(inst: Instruction,
+                      rename: Optional[Mapping[Var, Value]] = None,
+                      block_map: Optional[Mapping["BasicBlock",
+                                                  "BasicBlock"]] = None
+                      ) -> Instruction:
+    """A detached structural copy of ``inst``.  ``rename`` substitutes
+    variables (definitions included) and ``block_map`` remaps branch
+    targets and phi incoming blocks; both keep what they do not map."""
+    rename = rename or {}
+    block_map = block_map or {}
+    sub = lambda value: _subst(value, rename)
+    blk = lambda block: block_map.get(block, block)
+    if isinstance(inst, Phi):
+        return Phi(sub(inst.dest),
+                   [(blk(b), sub(v)) for b, v in inst.incoming])
+    if isinstance(inst, Assign):
+        return Assign(sub(inst.dest), sub(inst.src), inst.is_phi_copy)
+    if isinstance(inst, BinOp):
+        return BinOp(sub(inst.dest), inst.op, sub(inst.lhs), sub(inst.rhs))
+    if isinstance(inst, UnOp):
+        return UnOp(sub(inst.dest), inst.op, sub(inst.operand))
+    if isinstance(inst, Load):
+        return Load(sub(inst.dest), inst.array,
+                    [sub(i) for i in inst.indices])
+    if isinstance(inst, Store):
+        return Store(inst.array, [sub(i) for i in inst.indices],
+                     sub(inst.src))
+    if isinstance(inst, Check):
+        clone = Check(inst.linexpr, inst.bound, dict(inst.operands),
+                      inst.kind, inst.array,
+                      [Guard(g.linexpr, g.bound, dict(g.operands))
+                       for g in inst.guards], inst.context)
+        clone.replace_uses(rename)
+        return clone
+    if isinstance(inst, Call):
+        return Call(inst.callee, [sub(a) for a in inst.args],
+                    list(inst.array_args), inst.line)
+    if isinstance(inst, Print):
+        return Print(sub(inst.value))
+    if isinstance(inst, Trap):
+        return Trap(inst.message)
+    if isinstance(inst, Jump):
+        return Jump(blk(inst.target), inst.is_synthetic)
+    if isinstance(inst, CondJump):
+        return CondJump(sub(inst.cond), blk(inst.if_true),
+                        blk(inst.if_false))
+    if isinstance(inst, Return):
+        return Return(sub(inst.value) if inst.value is not None else None)
+    raise TypeError("cannot clone %r" % inst)
 
 
 def result_type(op: str, lhs: ScalarType, rhs: ScalarType) -> ScalarType:

@@ -26,7 +26,8 @@ from typing import Optional
 
 from ..analysis.loops import Loop, LoopForest
 from .function import Function, Module
-from .instructions import (Assign, BinOp, CondJump, Instruction, Jump, UnOp)
+from .instructions import (Assign, BinOp, CondJump, Jump, UnOp,
+                           clone_instruction)
 
 _DUPLICABLE = (Assign, BinOp, UnOp)
 
@@ -90,18 +91,8 @@ def _rotate(function: Function, loop: Loop) -> None:
     # replace the latch's jump-to-header with a duplicated test
     latch.remove(latch.terminator)
     for inst in header.instructions[:-1]:
-        latch.append(_duplicate(inst))
+        latch.append(clone_instruction(inst))
     if term.if_true is body_entry:
         latch.append(CondJump(term.cond, body_entry, exit_block))
     else:
         latch.append(CondJump(term.cond, exit_block, body_entry))
-
-
-def _duplicate(inst: Instruction) -> Instruction:
-    if isinstance(inst, Assign):
-        return Assign(inst.dest, inst.src)
-    if isinstance(inst, BinOp):
-        return BinOp(inst.dest, inst.op, inst.lhs, inst.rhs)
-    if isinstance(inst, UnOp):
-        return UnOp(inst.dest, inst.op, inst.operand)
-    raise AssertionError("not duplicable: %r" % (inst,))  # pragma: no cover

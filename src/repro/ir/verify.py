@@ -157,7 +157,7 @@ def _verify_dominance(function: Function) -> None:
     are skipped -- parameters, and reads before any write, which keep
     their unversioned name.
     """
-    if not getattr(function, "ssa_form", False):
+    if not function.ssa_form:
         return
     defs = _collect_single_defs(function)
     param_names = {p.name for p in function.params}

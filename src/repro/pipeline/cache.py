@@ -493,7 +493,7 @@ def _module_fingerprint(module: Module) -> str:
             for sname, stype in sorted(function.scalar_types.items())))
         parts.append("defaults " + ",".join(
             "%s=%r" % item for item in
-            sorted(getattr(function, "input_defaults", {}).items())))
+            sorted(function.input_defaults.items())))
     return "\n".join(parts)
 
 

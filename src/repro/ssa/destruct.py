@@ -32,7 +32,9 @@ def split_critical_edges(function: Function) -> int:
     for block in list(function.blocks):
         if len(preds.get(block, [])) < 2:
             continue
-        for pred in list(preds[block]):
+        # once per predecessor: splitting moves both arms of a CondJump
+        # that names ``block`` twice
+        for pred in dict.fromkeys(preds[block]):
             if len(pred.successors()) > 1:
                 middle = function.split_edge(pred, block)
                 middle.terminator.is_synthetic = True

@@ -14,7 +14,8 @@ class TestReversePostorder:
     def test_covers_reachable_blocks(self, loop_program):
         main = lower_ssa(loop_program).main
         order = reverse_postorder(main)
-        assert set(order) == set(main.reachable_blocks())
+        # lowering drops unreachable blocks, so every block is reached
+        assert set(order) == set(main.blocks)
 
     def test_predecessor_before_successor_for_acyclic(self):
         main = lower_ssa("""

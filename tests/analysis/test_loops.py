@@ -52,14 +52,6 @@ class TestDetection:
         assert order[0].depth == 2
         assert order[1].depth == 1
 
-    def test_innermost_lookup(self):
-        module = lower_ssa(nested_loops_source())
-        forest = LoopForest(module.main)
-        inner = forest.inner_to_outer()[0]
-        body_blocks = [b for b in inner.blocks if b is not inner.header]
-        assert body_blocks
-        assert forest.innermost(body_blocks[0]) is inner
-
     def test_no_loops(self):
         module = lower_ssa("program p\ninteger :: i\ni = 1\nend program")
         assert LoopForest(module.main).loops == []

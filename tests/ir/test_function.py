@@ -8,6 +8,8 @@ from repro.errors import IRError
 from repro.ir import (ArrayType, Const, Dimension, Function, INT, Jump,
                       Module, Phi, REAL, Return, CondJump, Var,
                       format_function)
+from repro.ir.function import retarget
+from repro.ssa import split_critical_edges
 
 
 def diamond():
@@ -34,12 +36,6 @@ class TestFunction:
         preds = f.predecessor_map()
         assert set(preds[join]) == {left, right}
         assert preds[entry] == []
-
-    def test_reachable_blocks(self):
-        f, *_ = diamond()
-        orphan = f.new_block("orphan")
-        orphan.append(Return())
-        assert orphan not in f.reachable_blocks()
 
     def test_remove_unreachable(self):
         f, *_ = diamond()
@@ -95,6 +91,34 @@ class TestFunction:
         f, entry, left, right, join = diamond()
         with pytest.raises(IRError):
             f.split_edge(left, entry)
+
+    def test_failed_split_adds_no_block(self):
+        f, entry, left, right, join = diamond()
+        blocks = list(f.blocks)
+        with pytest.raises(IRError):
+            f.split_edge(join, entry)
+        assert f.blocks == blocks
+
+    def test_retarget_moves_both_arms(self):
+        f, entry, left, right, join = diamond()
+        term = CondJump(Const(True), join, join)
+        entry.remove(entry.terminator)
+        entry.append(term)
+        retarget(term, join, left)
+        assert term.successors() == [left, left]
+        with pytest.raises(IRError):
+            retarget(term, join, left)
+
+    def test_critical_edges_of_a_double_arm_share_one_landing(self):
+        f, entry, left, right, join = diamond()
+        # entry branches to join on both arms; join has other
+        # predecessors, so both edges are critical
+        entry.remove(entry.terminator)
+        entry.append(CondJump(Const(True), join, join))
+        assert split_critical_edges(f) == 1
+        landing = entry.successors()[0]
+        assert entry.successors() == [landing, landing]
+        assert landing.successors() == [join]
 
 
 class TestModule:

@@ -76,6 +76,7 @@ class TestVerifyFunction:
         bad.kind = "upper"
         bad.array = ""
         bad.guards = []
+        bad.context = ""
         bad.block = block
         block.instructions.insert(0, bad)
         with pytest.raises(IRError):
