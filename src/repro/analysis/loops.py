@@ -72,9 +72,13 @@ class LoopForest:
 
     def _find_loops(self) -> None:
         preds = self.function.predecessor_map()
+        # a dominator comes no later in reverse postorder, so only a
+        # retreating edge can close a loop: test dominance on those
+        order = {block: i for i, block in enumerate(self.domtree.rpo)}
         for block in self.domtree.rpo:
             for succ in block.successors():
-                if self.domtree.dominates(succ, block):
+                if order[succ] <= order[block] \
+                        and self.domtree.dominates(succ, block):
                     loop = self.by_header.get(succ)
                     if loop is None:
                         loop = Loop(succ)

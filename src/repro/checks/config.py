@@ -40,14 +40,13 @@ class Scheme(enum.Enum):
     # trap).  Everything the guard cannot cover degrades to LLS
     # placement.
     SPEC = "SPEC"
-    # extension: lifetime-optimal speculative PRE (lospre).  Runs the
-    # LLS preheader pass, then replaces LCM's LATER postponement with a
-    # per-fact min-cut over the down-safe region, weighted by per-edge
-    # execution counts from a training profile
-    # (``OptimizerOptions.profile``).  A check is speculated onto a
-    # cold edge only when the profile-weighted dynamic count strictly
-    # drops; with no profile the uniform cost function reproduces the
-    # LCM latest placement, so LO is always runnable.
+    # extension: profile-priced placement (named after lifetime-optimal
+    # speculative PRE, lospre).  Runs the LLS preheader pass, then
+    # inserts LCM latest's checks or none, whichever executes fewer
+    # checks at the per-edge execution counts of a training profile
+    # (``OptimizerOptions.profile``); a tie keeps latest.  With no
+    # profile it is the LCM latest placement, so LO is always
+    # runnable.
     LO = "LO"
 
 

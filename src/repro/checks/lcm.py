@@ -9,7 +9,11 @@ paper's reference [12]) to the check universe:
   register pressure, and an early check maximizes downstream
   redundancy (section 3.3);
 * the ``LATER`` system postpones insertions as far as possible, giving
-  the latest placement (the paper's latest-not-isolated, LNI).
+  the latest placement (the paper's latest-not-isolated, LNI).  Like
+  every lazy-code-motion placement it is computationally optimal: on
+  every path it executes no more checks than any other down-safe
+  placement, which is why ``Scheme.LO`` (:mod:`repro.checks.lospre`)
+  prices only it against inserting nothing.
 
 Insertions happen on edges; the edge is realized as the end of the
 predecessor (single successor), the start of the successor (single
@@ -64,64 +68,46 @@ def safe_earliest_insertions(analysis: CheckAnalysis,
             if system.earliest(edge)}
 
 
-class LaterSystem:
-    """The solved LATER postponement system.
-
-    Factored out of :func:`latest_insertions` so the profile-guided
-    lospre pass (:mod:`repro.checks.lospre`) can reuse the solved
-    ``laterin`` sets and ``edge_later`` predicate: its min-cut runs
-    over exactly this postponement region.
-    """
-
-    def __init__(self, analysis: CheckAnalysis,
-                 edge_gen: Optional[EdgeGen] = None) -> None:
-        self.analysis = analysis
-        self.system = _PlacementSystem(analysis, edge_gen)
-        self.edges = self.system.edges
-        self.earliest: Dict[Edge, Facts] = {
-            edge: self.system.earliest(edge) for edge in self.edges}
-        preds = analysis.preds
-        universe = analysis.all_ids
-        self.antloc = analysis.antloc
-
-        self.laterin: Dict[BasicBlock, Facts] = {
-            block: universe for block in analysis.rpo}
-        changed = True
-        while changed:
-            changed = False
-            for block in analysis.rpo:
-                incoming_edges: List[Edge] = [(None, block)] \
-                    if block is analysis.function.entry else []
-                incoming_edges.extend((p, block) for p in preds[block])
-                merged = universe if incoming_edges else EMPTY
-                for edge in incoming_edges:
-                    merged &= self.edge_later(edge)
-                if merged != self.laterin[block]:
-                    self.laterin[block] = merged
-                    changed = True
-
-    def edge_later(self, edge: Edge) -> Facts:
-        pred, _ = edge
-        facts = self.earliest[edge]
-        if pred is not None:
-            facts |= self.laterin[pred] & ~self.antloc[pred]
-        return facts
-
-    def insertions(self) -> Dict[Edge, Facts]:
-        """The classic LCM latest insertion sets, per edge."""
-        insertions: Dict[Edge, Facts] = {}
-        for edge in self.edges:
-            facts = self.edge_later(edge) & ~self.laterin[edge[1]]
-            if facts:
-                insertions[edge] = facts
-        return insertions
-
-
 def latest_insertions(analysis: CheckAnalysis,
                       edge_gen: Optional[EdgeGen] = None
                       ) -> Dict[Edge, Facts]:
     """The latest (LATER-system) insertion sets, per edge."""
-    return LaterSystem(analysis, edge_gen).insertions()
+    system = _PlacementSystem(analysis, edge_gen)
+    earliest: Dict[Edge, Facts] = {
+        edge: system.earliest(edge) for edge in system.edges}
+    preds = analysis.preds
+    universe = analysis.all_ids
+    antloc = analysis.antloc
+
+    laterin: Dict[BasicBlock, Facts] = {
+        block: universe for block in analysis.rpo}
+
+    def edge_later(edge: Edge) -> Facts:
+        pred, _ = edge
+        facts = earliest[edge]
+        if pred is not None:
+            facts |= laterin[pred] & ~antloc[pred]
+        return facts
+
+    changed = True
+    while changed:
+        changed = False
+        for block in analysis.rpo:
+            incoming_edges: List[Edge] = [(None, block)] \
+                if block is analysis.function.entry else []
+            incoming_edges.extend((p, block) for p in preds[block])
+            merged = universe if incoming_edges else EMPTY
+            for edge in incoming_edges:
+                merged &= edge_later(edge)
+            if merged != laterin[block]:
+                laterin[block] = merged
+                changed = True
+    insertions: Dict[Edge, Facts] = {}
+    for edge in system.edges:
+        facts = edge_later(edge) & ~laterin[edge[1]]
+        if facts:
+            insertions[edge] = facts
+    return insertions
 
 
 def apply_insertions(analysis: CheckAnalysis, env: AffineEnv,

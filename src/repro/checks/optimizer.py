@@ -60,7 +60,9 @@ class OptimizeStats:
         self.proved = 0
         #: loops versioned by the SPEC scheme (fast/slow clones)
         self.speculated = 0
-        #: facts whose lospre min cut strictly beat the latest placement
+        #: always 0, since LO makes no per-fact cuts; it stays because
+        #: perfbench reads it and the scheme-matrix golden records
+        #: every field
         self.lospre_cuts = 0
         self.trap_reports: List[str] = []
 
@@ -237,14 +239,10 @@ class RangeCheckOptimizer:
         self._hoist(MarksteinInserter, substitute_linear=True)
 
     def lospre(self) -> None:
-        """LO: profile-guided min cut over LCM's LATER region.  With no
-        profile it degrades to the latest placement verbatim."""
-        env = self.env
-        analysis = self._make_analysis()
-        insertions, cuts = lospre_insertions(analysis, self.edge_gen,
-                                             self.options.profile)
-        self.stats.lospre_cuts += cuts
-        self.stats.inserted += apply_insertions(analysis, env, insertions)
+        """LO: LCM latest's insertions or none, whichever executes
+        fewer checks at the profile's counts.  With no profile it is
+        the latest placement verbatim."""
+        self._place(lospre_insertions, self.options.profile)
 
     def spec(self) -> None:
         """SPEC: version loops behind a convex-hull envelope guard.  The
@@ -262,10 +260,10 @@ class RangeCheckOptimizer:
         self.stats.eliminated = removed
         self.stats.trap_reports.extend(reports)
 
-    def _place(self, placement) -> None:
+    def _place(self, placement, *args) -> None:
         env = self.env
         analysis = self._make_analysis()
-        insertions = placement(analysis, self.edge_gen)
+        insertions = placement(analysis, self.edge_gen, *args)
         self.stats.inserted += apply_insertions(analysis, env, insertions)
 
     def _hoist(self, inserter_class, substitute_linear: bool) -> None:
@@ -279,9 +277,9 @@ class RangeCheckOptimizer:
 
     #: Each scheme's insertion steps, in order (step 3 of the paper).
     #: The paper's ALL is "LLS followed by SE"; the extensions follow
-    #: the same pattern: LO is the LLS hoist followed by a lospre min
-    #: cut, and SPEC versions loops before the LLS hoist covers what
-    #: its guard could not.
+    #: the same pattern: LO is the LLS hoist followed by LCM latest's
+    #: insertions or none, priced at the profile, and SPEC versions
+    #: loops before the LLS hoist covers what its guard could not.
     SCHEME_STEPS: Dict[Scheme, Tuple[Callable, ...]] = {
         Scheme.NI: (),
         Scheme.CS: (strengthen,),

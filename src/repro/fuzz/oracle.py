@@ -255,12 +255,10 @@ class Oracle:
 
         # -- profile-guided LO, trained on this very program ----------
         # The matrix above exercises LO's no-profile degradation; this
-        # pass trains an edge profile (which on trapping programs is
-        # deliberately *inconsistent* — truncated mid-run — the case
-        # where the min cut actually diverges from LCM latest) and
-        # holds trained LO to every baseline invariant plus one more:
-        # it never executes more effective checks than LLS, the scheme
-        # whose placement it refines.
+        # pass trains an edge profile (truncated mid-run on trapping
+        # programs) and holds trained LO to every baseline invariant
+        # plus one more: it never executes more effective checks than
+        # LLS, the scheme whose placement it refines.
         if any(options.scheme is Scheme.LO for options in self.configs):
             for kind in (CheckKind.PRX, CheckKind.INX):
                 failure = self._check_trained_lo(source, seed, inputs,
@@ -314,8 +312,8 @@ class Oracle:
             return FuzzFailure(
                 "lospre-regression", seed, source, label,
                 "trained LO executed %d effective checks vs %d under "
-                "LLS (speculation must never increase the "
-                "profile-weighted dynamic count)"
+                "LLS (LO keeps LCM latest only where the profile "
+                "prices it no dearer than the LLS residual)"
                 % (optimized.counters.effective_checks(),
                    lls_run.counters.effective_checks()))
         return None
@@ -336,8 +334,7 @@ class Oracle:
         NI pairs are compared.
         """
         for options in self.configs:
-            if not getattr(options, "inline", False) \
-                    or options.scheme is not Scheme.NI:
+            if not options.inline or options.scheme is not Scheme.NI:
                 continue
             label = options.label()
             base_label = label.replace("+inl", "")

@@ -315,8 +315,7 @@ def compile_source(source: str,
     scheme/kind/implication axes.
     """
     trace = trace if trace is not None else PipelineTrace()
-    inline = bool(options is not None and
-                  getattr(options, "inline", False))
+    inline = options is not None and options.inline
     if cache is not None:
         module = cache.frontend(source, rotate_loops=rotate_loops,
                                 trace=trace, inline=inline)

@@ -3,8 +3,8 @@
 ``repro run --profile-out`` serializes the per-edge execution counts
 collected by the interpreter into a small JSON document; ``--profile``
 feeds it back into the check optimizer, where
-:mod:`repro.checks.lospre` uses the counts as the cost function of its
-min-cut placement (``Scheme.LO``).  Every caller that compiles under LO
+:mod:`repro.checks.lospre` prices two placements at the counts and
+keeps the cheaper (``Scheme.LO``).  Every caller that compiles under LO
 attaches its profile through :func:`with_profile`.
 
 The artifact is **seeded-stable**: counts come from a deterministic
@@ -20,8 +20,9 @@ A profile is bound to the program and configuration it was trained
 under: ``source_sha256`` pins the source text, ``kind``/``implication``
 pin the optimizer axes (block names downstream of the preheader pass
 depend on them).  The training *scheme* is recorded for reporting but
-not enforced -- training under LLS matches the CFG that LO's residual
-min-cut actually sees, and :func:`train_profile` does exactly that.
+not enforced -- training under LLS matches the CFG that LO's pricing
+actually sees (LO's insertions follow the LLS hoist), and
+:func:`train_profile` does exactly that.
 """
 
 from __future__ import annotations
@@ -67,20 +68,6 @@ class EdgeProfile:
             fn: {edge: int(count) for edge, count in edges.items()}
             for fn, edges in functions.items()}
         self._fingerprint: Optional[str] = None
-
-    # -- queries -------------------------------------------------------
-
-    def weight(self, function: str, src: str, dst: str) -> Optional[int]:
-        """The recorded count of one edge, or None if never seen."""
-        edges = self.functions.get(function)
-        if edges is None:
-            return None
-        return edges.get((src, dst))
-
-    def total_weight(self) -> int:
-        """Sum of every edge count (the unknown-edge fallback scale)."""
-        return sum(count for edges in self.functions.values()
-                   for count in edges.values())
 
     # -- canonical form ------------------------------------------------
 
@@ -227,7 +214,7 @@ def train_profile(source: str, options=None,
     """Collect a training profile for ``source``.
 
     Compiles under the LLS scheme with the caller's kind/implication
-    axes (the CFG that ``Scheme.LO``'s residual min-cut sees is the
+    axes (the CFG that ``Scheme.LO`` prices its placements on is the
     LLS-preheader CFG) and interprets with edge collection.  A trap or
     step-limit abort keeps the partial counts: they are the observed
     behaviour and still train a valid profile.
@@ -237,12 +224,11 @@ def train_profile(source: str, options=None,
     from .driver import compile_source
 
     options = options or OptimizerOptions()
-    # inline rides along: under +inl the CFG the residual min-cut sees
-    # (and its block names) is the inlined one
+    # inline rides along: under +inl the CFG LO prices on (and its
+    # block names) is the inlined one
     train_options = OptimizerOptions(Scheme.LLS, options.kind,
                                      options.implication,
-                                     inline=getattr(options, "inline",
-                                                    False))
+                                     inline=options.inline)
     program = compile_source(source, train_options, cache=cache)
     machine = Machine(program.module, inputs, max_steps,
                       collect_edges=True)

@@ -85,8 +85,8 @@ class CompileRequest:
         self.small = small
         self.timings = timings
         #: ``"off"``, ``"auto"`` (self-train in the worker), or a
-        #: serialized EdgeProfile document (a JSON object) guiding the
-        #: LO scheme's min-cut placement.
+        #: serialized EdgeProfile document (a JSON object) pricing the
+        #: LO scheme's placement.
         self.profile = profile
         self.inline = inline
 

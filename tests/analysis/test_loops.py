@@ -1,9 +1,11 @@
 """Tests for natural-loop detection, the loop forest, and preheaders."""
 
 from repro.analysis import LoopForest
+from repro.analysis.dominance import DominatorTree
 from repro.ir import CondJump, Const, Function, Jump, Return
 
 from ..conftest import lower_ssa
+from ..pipeline.test_long_programs import sequential_ifs
 
 
 def nested_loops_source():
@@ -69,6 +71,21 @@ end program
 """)
         forest = LoopForest(module.main)
         assert len(forest.loops) == 1
+
+    def test_straight_code_asks_no_dominance(self):
+        # only a retreating edge can close a loop; every edge of ifs in
+        # a row advances in reverse postorder, so none is tested
+        function = lower_ssa(sequential_ifs(50)).main
+        domtree = DominatorTree(function)
+        calls = []
+
+        def dominates(a, b):
+            calls.append((a, b))
+            return DominatorTree.dominates(domtree, a, b)
+
+        domtree.dominates = dominates
+        assert LoopForest(function, domtree).loops == []
+        assert calls == []
 
     def test_exit_edges(self, loop_program):
         module = lower_ssa(loop_program)

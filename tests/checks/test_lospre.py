@@ -1,21 +1,20 @@
-"""Profile-guided lospre placement (``Scheme.LO``).
+"""Profile-priced LO placement (``Scheme.LO``).
 
-Covers the three layers: the deterministic max-flow primitive, the
-profiled cost function (cold vs unknown edges, observed-count
-baselines), and the end-to-end placement policy — degrade to latest
-without a profile, tie under a consistent profile (flow conservation
-makes every cut cost exactly the latest cost), never speculate on a
-merely *truncated* training run (real flow only leaks downstream, so
-the latest placement is the cheapest observed cut), and fire cuts
-exactly when a genuinely inconsistent profile (hand-built here,
-cross-input training in the field) prices an upstream edge strictly
-under the latest edges.
+After the LLS hoist, LO inserts LCM latest's checks or none, whichever
+executes fewer checks at the training profile's edge counts; a tie
+keeps latest.  Covered here: latest without a profile or for a
+function the profile does not cover, each branch of the priced choice
+winning on a real program, a consistent or truncated training run
+leaving latest in place, and a hand-built profile that breaks flow
+conservation still giving a sound placement on every engine.
 """
 
 import pytest
 
+from repro.benchsuite.registry import get_program
 from repro.checks.config import CheckKind, OptimizerOptions, Scheme
-from repro.checks.lospre import _EdgeWeights, _FlowNetwork
+from repro.fuzz.generator import generate_program
+from repro.ir.printer import format_module
 from repro.pipeline.driver import compile_source
 from repro.pipeline.profile import EdgeProfile, source_digest, train_profile
 
@@ -52,9 +51,8 @@ end program
 
 def lying_diamond_profile():
     """A profile no real run could produce: the join edges claim 50
-    traversals each while the split edges claim one -- flow
-    conservation is violated, so the min cut (the cheap split edges)
-    strictly beats the latest placement (the hot join edges)."""
+    traversals each while the split edges claim one, so flow
+    conservation is violated."""
     return EdgeProfile(source_digest(DIAMOND), {"p": {
         ("", "entry0"): 1,
         ("entry0", "if_then2"): 1,
@@ -62,85 +60,6 @@ def lying_diamond_profile():
         ("if_then2", "if_exit1"): 50,
         ("if_else3", "if_exit1"): 50,
     }})
-
-
-class _Block:
-    """Stands in for a BasicBlock: _EdgeWeights only reads ``.name``."""
-
-    def __init__(self, name):
-        self.name = name
-
-
-class TestFlowNetwork:
-    def test_single_path_bottleneck(self):
-        net = _FlowNetwork()
-        net.add_arc(0, 2, 5)
-        net.add_arc(2, 1, 3)
-        assert net.max_flow(0, 1) == 3
-        # the saturated arc is the cut: node 2 stays source-side
-        assert net.source_side(0) == {0, 2}
-
-    def test_parallel_paths_sum(self):
-        net = _FlowNetwork()
-        net.add_arc(0, 2, 4)
-        net.add_arc(2, 1, 4)
-        net.add_arc(0, 3, 7)
-        net.add_arc(3, 1, 7)
-        assert net.max_flow(0, 1) == 11
-
-    def test_cut_picks_cheap_side(self):
-        # S -> a (inf) -> b (cost 1) -> T (cost 10): cut the cheap arc
-        net = _FlowNetwork()
-        net.add_arc(0, 2, 1 << 60)
-        cheap = net.add_arc(2, 3, 1)
-        net.add_arc(3, 1, 10)
-        assert net.max_flow(0, 1) == 1
-        side = net.source_side(0)
-        assert net.heads[cheap ^ 1] in side      # tail source-side
-        assert net.heads[cheap] not in side      # head sink-side
-
-    def test_flow_needs_augmenting_back_edge(self):
-        # the classic undo case: a greedy first path must be rerouted
-        # through the residual (reverse) arc to reach max flow 2
-        net = _FlowNetwork()
-        net.add_arc(0, 2, 1)
-        net.add_arc(0, 3, 1)
-        net.add_arc(2, 3, 1)
-        net.add_arc(2, 1, 1)
-        net.add_arc(3, 1, 1)
-        assert net.max_flow(0, 1) == 2
-
-
-class TestEdgeWeights:
-    def _profile(self):
-        return EdgeProfile("0" * 64, {"f": {
-            ("", "entry"): 2,
-            ("entry", "loop"): 10,
-            ("loop", "loop"): 88,
-        }})
-
-    def test_recorded_edge_uses_count(self):
-        weights = _EdgeWeights(self._profile(), "f")
-        assert weights.trained
-        assert weights.weight((_Block("entry"), _Block("loop"))) == 10
-
-    def test_entry_edge_uses_pseudo_count(self):
-        weights = _EdgeWeights(self._profile(), "f")
-        assert weights.weight((None, _Block("entry"))) == 2
-
-    def test_unseen_edge_between_known_blocks_is_cold(self):
-        weights = _EdgeWeights(self._profile(), "f")
-        assert weights.weight((_Block("loop"), _Block("entry"))) == 0
-
-    def test_edge_into_unknown_block_is_hot(self):
-        weights = _EdgeWeights(self._profile(), "f")
-        hot = 2 + 10 + 88 + 1
-        assert weights.hot == hot
-        assert weights.weight((_Block("entry"), _Block("mystery"))) == hot
-
-    def test_unprofiled_function_is_untrained(self):
-        weights = _EdgeWeights(self._profile(), "other")
-        assert not weights.trained
 
 
 class TestPlacementPolicy:
@@ -152,8 +71,8 @@ class TestPlacementPolicy:
             == lls.run({"n": 5}).counters.effective_checks()
 
     def test_consistent_profile_never_speculates(self):
-        # a complete training run satisfies flow conservation, so every
-        # cut ties the latest cost and the tie keeps latest verbatim
+        # a complete training run satisfies flow conservation, and
+        # here the LLS residual is no cheaper, so LO keeps latest
         profile = train_profile(LOOP, OptimizerOptions(scheme=Scheme.LO),
                                 {"n": 5})
         trained = compile_source(LOOP, OptimizerOptions(
@@ -163,34 +82,28 @@ class TestPlacementPolicy:
         assert trained.run({"n": 5}).counters.effective_checks() \
             == bare.run({"n": 5}).counters.effective_checks()
 
-    def test_inconsistent_profile_fires_cuts(self):
+    def test_inconsistent_profile_stays_sound(self):
         # hand-built flow-conservation violation: the join edges claim
-        # 100 combined traversals, the split edges one each, so the
-        # min cut (split edges) strictly beats latest (join edges)
+        # 100 combined traversals, the split edges one each.  LO still
+        # chooses only between latest and no insertion, both sound
         trained = compile_source(DIAMOND, OptimizerOptions(
             Scheme.LO, profile=lying_diamond_profile()))
-        assert trained.total_stats().lospre_cuts > 0
+        assert trained.total_stats().lospre_cuts == 0
         lls = compile_source(DIAMOND, OptimizerOptions(scheme=Scheme.LLS))
         run_lo = trained.run({"n": 5})
         run_lls = lls.run({"n": 5})
-        # the speculated placement still computes the same program ...
         assert run_lo.output == run_lls.output
-        # ... without doing more dynamic work on the real input (one
-        # split-edge insertion executes per run, standing in for the
-        # join check it eliminated)
         assert run_lo.counters.effective_checks() \
             <= run_lls.counters.effective_checks()
 
     def test_truncated_training_never_speculates(self):
         # a trap during training leaves only the entry pseudo-edge:
         # every downstream block observed zero executions.  Real flow
-        # only leaks downstream, so the latest placement is already
-        # the cheapest observed cut -- speculating on a truncated
-        # profile could only add checks the training run never paid
-        # for, so no cut may fire
+        # only leaks downstream, so no placement prices below latest
+        # and the tie keeps it
         profile = train_profile(LOOP, OptimizerOptions(scheme=Scheme.LO),
                                 {"n": 60})
-        assert profile.total_weight() == 1  # entry pseudo-edge only
+        assert profile.functions == {"p": {("", "entry0"): 1}}
         trained = compile_source(LOOP, OptimizerOptions(
             Scheme.LO, profile=profile))
         assert trained.total_stats().lospre_cuts == 0
@@ -208,13 +121,59 @@ class TestPlacementPolicy:
                                                     kind=kind))
         assert program.run({"n": 5}).output == lls.run({"n": 5}).output
 
-    def test_engine_parity_under_speculation(self):
-        # the cut placement must count identically on all engines
+    def test_engine_parity_under_an_inconsistent_profile(self):
+        # the placement must count identically on all engines
         program = compile_source(DIAMOND, OptimizerOptions(
             Scheme.LO, profile=lying_diamond_profile()))
-        assert program.total_stats().lospre_cuts > 0
         counts = {program.run({"n": 5}).counters.effective_checks()}
         for engine in ("compiled", "specialized"):
             counts.add(program.run_compiled(
                 {"n": 5}, engine=engine).counters.effective_checks())
         assert len(counts) == 1
+
+
+def _effective(source, options, inputs):
+    return compile_source(source, options).run(inputs) \
+        .counters.effective_checks()
+
+
+class TestPricedChoice:
+    """Each branch of the choice wins on a real program and a real
+    training run: latest where it executes fewer checks, the LLS
+    residual (no insertion) where that does."""
+
+    def _trained(self, source, inputs):
+        profile = train_profile(source, OptimizerOptions(scheme=Scheme.LO),
+                                inputs)
+        return OptimizerOptions(Scheme.LO, profile=profile)
+
+    def test_latest_when_it_is_cheaper(self):
+        spec77 = get_program("spec77")
+        source, inputs = spec77.source, spec77.test_inputs
+        trained = _effective(source, self._trained(source, inputs), inputs)
+        untrained = _effective(source, OptimizerOptions(scheme=Scheme.LO),
+                               inputs)
+        lls = _effective(source, OptimizerOptions(scheme=Scheme.LLS),
+                         inputs)
+        assert (trained, untrained, lls) == (72, 72, 92)
+
+    def test_no_insertion_when_it_is_cheaper(self):
+        source = generate_program(107)
+        trained = _effective(source, self._trained(source, {}), {})
+        untrained = _effective(source, OptimizerOptions(scheme=Scheme.LO),
+                               {})
+        lls = _effective(source, OptimizerOptions(scheme=Scheme.LLS), {})
+        assert (trained, untrained, lls) == (110, 111, 110)
+
+    def test_unprofiled_function_gets_latest(self):
+        # the profile covers none of the program's functions, so each
+        # gets latest, as with no profile at all
+        source = generate_program(107)
+        uncovered = OptimizerOptions(Scheme.LO, profile=EdgeProfile(
+            source_digest(source), {}))
+
+        def ir(options):
+            return format_module(compile_source(source, options).module)
+
+        assert ir(uncovered) == ir(OptimizerOptions(scheme=Scheme.LO))
+        assert ir(uncovered) != ir(self._trained(source, {}))

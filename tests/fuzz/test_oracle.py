@@ -98,8 +98,8 @@ class TestTrainedLOShard:
         assert self._shard().check(CLEAN, seed=0) is None
 
     def test_trapping_program_passes(self):
-        # the training run traps too, leaving a truncated profile —
-        # exactly the input class where the min cut actually fires
+        # the training run traps too, leaving a truncated profile,
+        # which loses flow downstream of the trap
         assert self._shard().check(TRAPPING, seed=0) is None
 
     def test_generated_programs_pass(self):

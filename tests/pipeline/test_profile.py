@@ -68,7 +68,6 @@ class TestDeterminism:
         back = EdgeProfile.loads(profile.dumps())
         assert back.fingerprint == profile.fingerprint
         assert back.functions == profile.functions
-        assert back.total_weight() == profile.total_weight()
 
     def test_trap_truncated_training_still_yields_artifact(self):
         profile = train_profile(TRAPPING,
@@ -76,7 +75,7 @@ class TestDeterminism:
                                 {"n": 60})
         # the trap fires before the loop body is reached (the LLS
         # preheader check), so only the entry pseudo-edge is recorded
-        assert profile.total_weight() == 1
+        assert profile.functions == {"p": {("", "entry0"): 1}}
         EdgeProfile.loads(profile.dumps())  # still a valid artifact
 
 
