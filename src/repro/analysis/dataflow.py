@@ -7,7 +7,10 @@ iteration over their own lattice; the dominator and postdominator
 trees share one solver (:mod:`repro.analysis.dominance`).  What they
 all share is :func:`depth_first_order`: visiting blocks entry first
 lets forward problems converge in a handful of passes on reducible
-CFGs, and its reverse serves backward ones.
+CFGs, and its reverse serves backward ones.  A function's reverse
+postorder lives in its CFG snapshot
+(:class:`~repro.ir.function.CFGSnapshot`), next to the predecessor
+lists, so each CFG version is walked once.
 """
 
 from __future__ import annotations
@@ -46,7 +49,11 @@ def depth_first_order(root: Node,
 
 
 def reverse_postorder(function: Function) -> List[BasicBlock]:
-    """Reverse postorder over reachable blocks (entry first)."""
-    if function.entry is None:
-        return []
-    return depth_first_order(function.entry, BasicBlock.successors)
+    """Reverse postorder over reachable blocks (entry first), computed
+    once per CFG version and kept in the function's CFG snapshot: the
+    list is shared by every reader, so read-only."""
+    snapshot = function.cfg()
+    if snapshot.rpo is None:
+        snapshot.rpo = [] if function.entry is None else \
+            depth_first_order(function.entry, BasicBlock.successors)
+    return snapshot.rpo

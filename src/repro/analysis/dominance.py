@@ -3,10 +3,14 @@
 Both trees come from one Cooper-Harvey-Kennedy iterative solver over
 reverse postorder, which is simple and fast for the CFG sizes the
 benchmark suite produces and needs memory linear in the block count.
-The dominator tree runs it from the entry, the postdominator tree on
-the reversed CFG from a virtual exit that every block without
-successors flows into; both answer "does a dominate b" by walking b's
-chain of immediate dominators.
+The dominator tree runs it from the entry, once per CFG version: its
+facts live in the function's CFG snapshot
+(:class:`~repro.ir.function.CFGSnapshot`), with each block's entry
+and exit numbers from a depth-first walk of the tree, so "does a
+dominate b" is two comparisons.  The postdominator tree runs it on the
+reversed CFG from a virtual exit that every block without successors
+flows into, and answers by walking b's chain of immediate
+postdominators.
 
 Dominance frontiers feed SSA construction (Cytron's algorithm), the
 only reader, so they are computed on first read; loop forests, MCM and
@@ -79,27 +83,84 @@ def _on_idom_chain(idom: Mapping, a: BasicBlock, b: BasicBlock) -> bool:
     return False
 
 
+class Dominance:
+    """The dominator facts of one CFG version: immediate dominators,
+    the tree's children in reverse postorder, and each reachable
+    block's entry and exit numbers in a depth-first walk of the tree.
+    ``a`` dominates ``b`` when ``b``'s numbers nest inside ``a``'s; a
+    block off the tree dominates, and is dominated by, only itself.
+    """
+
+    __slots__ = ("idom", "children", "_enter", "_exit")
+
+    def __init__(self, rpo: Sequence[BasicBlock],
+                 preds: Mapping[BasicBlock, Sequence[BasicBlock]]) -> None:
+        self.idom: Dict[BasicBlock, Optional[BasicBlock]] = \
+            _immediate_dominators(rpo, preds)
+        self.children: Dict[BasicBlock, List[BasicBlock]] = {
+            block: [] for block in rpo}
+        for block in rpo:
+            parent = self.idom[block]
+            if parent is not None:
+                self.children[parent].append(block)
+        self._enter: Dict[BasicBlock, int] = {}
+        self._exit: Dict[BasicBlock, int] = {}
+        if not rpo:
+            return
+        # iterative, so a long CFG's deep tree needs no deep recursion
+        clock = 0
+        self._enter[rpo[0]] = clock
+        stack = [(rpo[0], iter(self.children[rpo[0]]))]
+        while stack:
+            node, pending = stack[-1]
+            child = next(pending, None)
+            clock += 1
+            if child is None:
+                self._exit[node] = clock
+                stack.pop()
+            else:
+                self._enter[child] = clock
+                stack.append((child, iter(self.children[child])))
+
+    def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
+        """True when ``a`` dominates ``b`` (reflexively)."""
+        if a is b:
+            return True
+        enter_a = self._enter.get(a)
+        enter_b = self._enter.get(b)
+        return enter_a is not None and enter_b is not None \
+            and enter_a < enter_b and self._exit[b] < self._exit[a]
+
+
+def dominance_of(function: Function) -> Dominance:
+    """The dominator facts of ``function``'s current CFG, solved once
+    per CFG version and kept in its snapshot (read-only)."""
+    snapshot = function.cfg()
+    if snapshot.dominance is None:
+        snapshot.dominance = Dominance(reverse_postorder(function),
+                                       snapshot.preds)
+    return snapshot.dominance
+
+
 class DominatorTree:
     """Immediate dominators, the dominator tree, and dominance frontiers.
 
-    The tree is a snapshot: RPO, predecessors and immediate dominators
-    are taken when it is built, and :attr:`frontier`, computed on first
-    read, comes from that snapshot, so a late read gives what an eager
-    one would.
+    The tree is a view of one CFG snapshot: RPO, predecessors and the
+    dominator facts (:func:`dominance_of`) are those of the CFG when
+    it is built, and :attr:`frontier`, computed on first read, comes
+    from that snapshot, so a late read gives what an eager one would.
+    ``idom`` and ``children`` are shared with the snapshot: read-only.
     """
 
     def __init__(self, function: Function) -> None:
         self.function = function
         self.rpo = reverse_postorder(function)
         self._preds = function.predecessor_map()
+        self._dominance = dominance_of(function)
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = \
-            _immediate_dominators(self.rpo, self._preds)
-        self.children: Dict[BasicBlock, List[BasicBlock]] = {
-            block: [] for block in self.rpo}
-        for block in self.rpo:
-            parent = self.idom[block]
-            if parent is not None:
-                self.children[parent].append(block)
+            self._dominance.idom
+        self.children: Dict[BasicBlock, List[BasicBlock]] = \
+            self._dominance.children
         self._frontier: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
 
     @property
@@ -130,11 +191,11 @@ class DominatorTree:
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True when ``a`` dominates ``b`` (reflexively)."""
-        return _on_idom_chain(self.idom, a, b)
+        return self._dominance.dominates(a, b)
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True when ``a`` dominates ``b`` and ``a is not b``."""
-        return a is not b and _on_idom_chain(self.idom, a, b)
+        return a is not b and self._dominance.dominates(a, b)
 
 
 class PostDominators:

@@ -15,7 +15,7 @@ less than algorithms which insert checks".
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -138,6 +138,10 @@ class IntervalAnalysis:
         self.rpo = reverse_postorder(function)
         self.preds = function.predecessor_map()
         self.entry_env: Dict[BasicBlock, Env] = {}
+        # per edge: the predecessor's entry env last flowed across it,
+        # and the result; every change stores a new env dict
+        self._edge_flow: Dict[Tuple[BasicBlock, BasicBlock],
+                              Tuple[Env, Env]] = {}
         self._visits: Dict[BasicBlock, int] = {}
         self._headers = self._loop_headers()
         self._cmp_defs: Dict[str, BinOp] = {}
@@ -220,9 +224,15 @@ class IntervalAnalysis:
             return {}
         pieces = []
         for pred in self.preds[block]:
-            if pred not in self.entry_env:
+            entry = self.entry_env.get(pred)
+            if entry is None:
                 continue
-            out = self._flow_through(pred, self.entry_env[pred], block)
+            cached = self._edge_flow.get((pred, block))
+            if cached is not None and cached[0] is entry:
+                out = cached[1]
+            else:
+                out = self._flow_through(pred, entry, block)
+                self._edge_flow[(pred, block)] = (entry, out)
             pieces.append(out)
         if not pieces:
             return {}

@@ -60,6 +60,10 @@ class CheckAnalysis:
         self.transp: Dict[BasicBlock, Facts] = {}
         for block in self.rpo:
             self._local_sets(block)
+        # the last availability solution, keyed by its closed edge gens
+        self._availability: Optional[Tuple[
+            Dict[Tuple[BasicBlock, BasicBlock], Facts],
+            Tuple[Dict[BasicBlock, Facts], Dict[BasicBlock, Facts]]]] = None
 
     # -- local properties ---------------------------------------------------
 
@@ -105,26 +109,34 @@ class CheckAnalysis:
         return self.cig.weaker_set(check_id, family_only=True)
 
     def _local_sets(self, block: BasicBlock) -> None:
-        # forward pass: COMP (locally available at block exit)
+        # One walk reads each instruction's gen and kill masks.  COMP
+        # (locally available at block exit) and TRANSP come out of it
+        # forward; ANTLOC (locally anticipatable at block entry) replays
+        # the (kill, gen) steps backward.
+        weaker_set = self.cig.weaker_set
+        kill_by_symbol = self._kill_by_symbol
+        steps: List[Tuple[Facts, Facts]] = []
         forward = killed = EMPTY
         for inst in block.instructions:
-            if isinstance(inst, Check):
-                forward |= self.gen_of(inst)
+            ant_gen = EMPTY
+            if isinstance(inst, Check) and not inst.is_conditional:
+                check_id = self.id_of(inst)
+                if check_id is not None:
+                    forward |= weaker_set(check_id, family_only=False)
+                    ant_gen = weaker_set(check_id, family_only=True)
+            dead = EMPTY
             dest = inst.def_var()
             if dest is not None:
-                dead = self.killed_by(dest)
+                dead = kill_by_symbol.get(dest.name, EMPTY)
                 forward &= ~dead
                 killed |= dead
+            if dead or ant_gen:
+                steps.append((dead, ant_gen))
         self.comp[block] = forward
         self.transp[block] = self.all_ids & ~killed
-        # backward pass: ANTLOC (locally anticipatable at block entry)
         backward = EMPTY
-        for inst in reversed(block.instructions):
-            dest = inst.def_var()
-            if dest is not None:
-                backward &= ~self.killed_by(dest)
-            if isinstance(inst, Check):
-                backward |= self.ant_gen_of(inst)
+        for dead, ant_gen in reversed(steps):
+            backward = (backward & ~dead) | ant_gen
         self.antloc[block] = backward
 
     # -- global availability ---------------------------------------------------
@@ -132,8 +144,15 @@ class CheckAnalysis:
     def availability(self, edge_gen: Optional[EdgeGen] = None
                      ) -> Tuple[Dict[BasicBlock, Facts],
                                 Dict[BasicBlock, Facts]]:
-        """Solve AVIN/AVOUT (forward, intersection), honoring edge gens."""
+        """Solve AVIN/AVOUT (forward, intersection), honoring edge gens.
+
+        Equal closed edge-gen masks give an equal solution, so the last
+        one is kept and returned again for them: callers read it and
+        never edit it."""
         closed_edges = self._close_edge_gen(edge_gen)
+        if self._availability is not None and \
+                self._availability[0] == closed_edges:
+            return self._availability[1]
         avin: Dict[BasicBlock, Facts] = {}
         avout: Dict[BasicBlock, Facts] = {}
         for block in self.rpo:
@@ -157,6 +176,7 @@ class CheckAnalysis:
                 if outgoing != avout[block]:
                     avout[block] = outgoing
                     changed = True
+        self._availability = (closed_edges, (avin, avout))
         return avin, avout
 
     def _close_edge_gen(self, edge_gen: Optional[EdgeGen]

@@ -246,6 +246,8 @@ class _Inliner:
             caller.blocks.append(nb)
             cloned_blocks.add(nb.name)
         block.append(Jump(clone.entry))
+        # the splice edits instruction and block lists directly
+        caller.cfg_changed()
 
     def _bind_args(self, caller: Function, block: BasicBlock, call: Call,
                    clone: Function, site: int

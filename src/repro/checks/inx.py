@@ -26,6 +26,7 @@ from ..induction.materialize import BasicVarMaterializer
 from ..ir.function import Function
 from ..ir.instructions import Check
 from ..ir.values import Var
+from ..symbolic import LinearExpr, Polynomial
 from .canonical import CanonicalCheck
 
 
@@ -34,18 +35,26 @@ def rewrite_checks_to_inx(function: Function, induction: InductionAnalysis,
                           materializer: BasicVarMaterializer) -> int:
     """Rewrite checks in place; returns the number rewritten."""
     rewritten = 0
+    # each distinct range-expression is lifted once
+    lifted: Dict[LinearExpr, Polynomial] = {}
     for block in list(function.blocks):
         for inst in list(block.instructions):
             if not isinstance(inst, Check) or inst.is_conditional:
                 continue
-            if _rewrite_one(inst, induction, env, materializer):
+            poly = lifted.get(inst.linexpr)
+            if poly is None:
+                poly = lifted[inst.linexpr] = \
+                    induction.expr_of_linexpr(inst.linexpr)
+            if _rewrite_one(inst, poly, induction, env, materializer):
                 rewritten += 1
     return rewritten
 
 
-def _rewrite_one(check: Check, induction: InductionAnalysis, env: AffineEnv,
+def _rewrite_one(check: Check, poly: Polynomial,
+                 induction: InductionAnalysis, env: AffineEnv,
                  materializer: BasicVarMaterializer) -> bool:
-    poly = induction.expr_of_linexpr(check.linexpr)
+    """Rewrite ``check`` to ``poly``, its range-expression's induction
+    expression, where that is linear and differs."""
     if not poly.is_linear():
         return False  # polynomial induction expression: keep the PRX form
     linear = poly.to_linear()

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..analysis.affine import AffineEnv, compute_affine_forms
 from ..analysis.dominance import DominatorTree
 from ..analysis.loops import LoopForest
+from ..errors import IRError
 from ..induction.analysis import InductionAnalysis, LoopIVs, loop_ivs
 from ..induction.materialize import BasicVarMaterializer
 from ..ir.function import Function, Module
@@ -103,12 +104,16 @@ class RangeCheckOptimizer:
     function.  A step that reads no loop analysis does not pay for one:
     the hoists and SPEC read only each loop's counted-loop description
     (:attr:`ivs`), and only the INX rewrite solves induction
-    expressions.
+    expressions.  With ``verify`` the IR verifier runs after every
+    step too, so an edit that leaves bad IR or a stale CFG snapshot
+    fails at the step that made it.
     """
 
-    def __init__(self, function: Function, options: OptimizerOptions) -> None:
+    def __init__(self, function: Function, options: OptimizerOptions,
+                 verify: bool = False) -> None:
         self.function = function
         self.options = options
+        self.verify = verify
         self.stats = OptimizeStats(function.name)
         self.store = ImplicationStore()
         self.edge_gen: EdgeGen = {}
@@ -137,8 +142,8 @@ class RangeCheckOptimizer:
 
     @property
     def forest(self) -> LoopForest:
-        """The loop forest over a fresh dominator tree, built on first
-        read."""
+        """The loop forest over the current CFG's dominator tree, built
+        on first read."""
         if self._forest is None:
             self._forest = LoopForest(self.function,
                                       DominatorTree(self.function))
@@ -178,16 +183,27 @@ class RangeCheckOptimizer:
         for step in steps:
             self._refresh_analyses()
             step(self)
+            self._verify_after(step.__name__)
         # VR is the abstract-interpretation baseline: compile-time
         # elimination only, no check dataflow
         if options.scheme is not Scheme.VR:
             self._eliminate()
+            self._verify_after("eliminate")
         folded, reports = fold_compile_time(function)
         self.stats.compile_time = folded
         self.stats.trap_reports.extend(reports)
         self.stats.checks_after = count_checks(function)
         verify_function(function)
         return self.stats
+
+    def _verify_after(self, step: str) -> None:
+        if not self.verify:
+            return
+        try:
+            verify_function(self.function)
+        except IRError as exc:
+            raise IRError("after check-optimize step %r: %s"
+                          % (step, exc)) from exc
 
     def _eliminate(self) -> None:
         # The semantic tier only runs on interprocedural (+inl)
@@ -296,17 +312,18 @@ class RangeCheckOptimizer:
 
 
 def optimize_function(function: Function,
-                      options: Optional[OptimizerOptions] = None
-                      ) -> OptimizeStats:
-    """Optimize one function in place; returns its stats."""
-    return RangeCheckOptimizer(function,
-                               options or OptimizerOptions()).run()
+                      options: Optional[OptimizerOptions] = None,
+                      verify: bool = False) -> OptimizeStats:
+    """Optimize one function in place; returns its stats.  ``verify``
+    runs the IR verifier after every step."""
+    return RangeCheckOptimizer(function, options or OptimizerOptions(),
+                               verify).run()
 
 
 def optimize_module(module: Module,
-                    options: Optional[OptimizerOptions] = None
-                    ) -> Dict[str, OptimizeStats]:
+                    options: Optional[OptimizerOptions] = None,
+                    verify: bool = False) -> Dict[str, OptimizeStats]:
     """Optimize every function of a module; returns stats per function."""
     options = options or OptimizerOptions()
-    return {function.name: optimize_function(function, options)
+    return {function.name: optimize_function(function, options, verify)
             for function in module}

@@ -94,9 +94,12 @@ class InductionAnalysis:
                 break
 
     def _expr_for(self, inst, dest: Var) -> Polynomial:
-        atomic = Polynomial.symbol(dest.name)
         if dest.type.value != "int":
-            return atomic
+            # always atomic: a later pass reuses the recorded one
+            recorded = self.exprs.get(dest.name)
+            return recorded if recorded is not None \
+                else Polynomial.symbol(dest.name)
+        atomic = Polynomial.symbol(dest.name)
         if isinstance(inst, Phi):
             return self._phi_expr(inst, atomic)
         if isinstance(inst, Assign):

@@ -16,7 +16,9 @@ class BasicBlock:
 
     Phi instructions, when present, must form a prefix of the block.
     Successor edges are derived from the terminator; predecessor lists
-    are computed by :class:`~repro.ir.function.Function`.
+    come from the function's CFG snapshot
+    (:meth:`~repro.ir.function.Function.cfg`), which adding or removing
+    a terminator here drops.
     """
 
     __slots__ = ("name", "function", "instructions")
@@ -63,12 +65,14 @@ class BasicBlock:
             raise IRError("block %s already terminated" % self.name)
         inst.block = self
         self.instructions.append(inst)
+        self._edited(inst)
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
         """Insert an instruction at ``index``."""
         inst.block = self
         self.instructions.insert(index, inst)
+        self._edited(inst)
         return inst
 
     def insert_before_terminator(self, inst: Instruction) -> Instruction:
@@ -85,6 +89,12 @@ class BasicBlock:
         """Remove an instruction from this block."""
         self.instructions.remove(inst)
         inst.block = None
+        self._edited(inst)
+
+    def _edited(self, inst: Instruction) -> None:
+        # a terminator carries the block's out-edges
+        if inst.is_terminator and self.function is not None:
+            self.function.cfg_changed()
 
     # -- queries ------------------------------------------------------
 

@@ -2,13 +2,36 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
 from ..errors import IRError
 from .basicblock import BasicBlock
 from .instructions import CondJump, Instruction, Jump
 from .types import ArrayType, ScalarType
 from .values import Var
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis.dominance import Dominance
+
+
+class CFGSnapshot:
+    """The CFG facts of one version of a function.
+
+    :meth:`Function.cfg` builds it with the predecessor lists; reverse
+    postorder (:func:`repro.analysis.dataflow.reverse_postorder`) and
+    the dominator facts (:mod:`repro.analysis.dominance`) fill their
+    slots on first read.  A CFG edit drops the whole snapshot instead
+    of patching it, so an analysis that kept one still sees the CFG it
+    was built on.  All its lists and dicts are shared by every reader:
+    read-only.
+    """
+
+    __slots__ = ("preds", "rpo", "dominance")
+
+    def __init__(self, preds: Dict[BasicBlock, List[BasicBlock]]) -> None:
+        self.preds = preds
+        self.rpo: Optional[List[BasicBlock]] = None
+        self.dominance: Optional[Dominance] = None
 
 
 class Function:
@@ -37,6 +60,7 @@ class Function:
         # variables before any definition)
         self.ssa_form = False
         self._name_counter = 0
+        self._cfg: Optional[CFGSnapshot] = None
 
     # -- pickling -------------------------------------------------------
 
@@ -45,14 +69,17 @@ class Function:
         # follow the whole block list: every block is memoized before
         # an instruction names it, so the pickle's depth does not grow
         # with the CFG.  The verifier keeps every block an instruction
-        # names in ``blocks``.
+        # names in ``blocks``.  The CFG snapshot stays behind: a copy
+        # builds its own on first read.
         state = self.__dict__.copy()
+        del state["_cfg"]
         state["_instructions"] = [block.instructions for block in self.blocks]
         return state
 
     def __setstate__(self, state) -> None:
         instructions = state.pop("_instructions")
         self.__dict__.update(state)
+        self._cfg = None
         for block, insts in zip(self.blocks, instructions):
             block.instructions = insts
 
@@ -66,6 +93,7 @@ class Function:
         self.blocks.append(block)
         if self.entry is None:
             self.entry = block
+        self._cfg = None
         return block
 
     def add_param(self, var: Var) -> None:
@@ -92,18 +120,34 @@ class Function:
 
     # -- CFG queries ---------------------------------------------------
 
+    def cfg(self) -> CFGSnapshot:
+        """The snapshot of this CFG version, built on first read."""
+        snapshot = self._cfg
+        if snapshot is None:
+            preds: Dict[BasicBlock, List[BasicBlock]] = {
+                block: [] for block in self.blocks}
+            for block in self.blocks:
+                for succ in block.successors():
+                    preds[succ].append(block)
+            snapshot = self._cfg = CFGSnapshot(preds)
+        return snapshot
+
+    def cfg_changed(self) -> None:
+        """Drop the CFG snapshot.  ``new_block``, ``retarget``,
+        ``BasicBlock.append``/``insert``/``remove`` of a terminator and
+        ``remove_unreachable_blocks`` call it; code that edits blocks or
+        terminators any other way must call it too."""
+        self._cfg = None
+
     def predecessor_map(self) -> Dict[BasicBlock, List[BasicBlock]]:
-        """Predecessor lists for every block (freshly computed)."""
-        preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in self.blocks}
-        for block in self.blocks:
-            for succ in block.successors():
-                preds[succ].append(block)
-        return preds
+        """Predecessor lists for every block, each in block order, from
+        the CFG snapshot: shared by every reader, so read-only."""
+        return self.cfg().preds
 
     def predecessors(self, block: BasicBlock) -> List[BasicBlock]:
-        """Predecessors of one block, in :meth:`predecessor_map` order."""
-        return [pred for pred in self.blocks
-                for succ in pred.successors() if succ is block]
+        """Predecessors of one block, in :meth:`predecessor_map` order
+        (read-only)."""
+        return self.cfg().preds[block]
 
     def instructions(self) -> Iterator[Instruction]:
         """Iterate every instruction in every block."""
@@ -117,6 +161,7 @@ class Function:
         removed = [b for b in self.blocks if b not in reachable]
         if removed:
             self.blocks = [b for b in self.blocks if b in reachable]
+            self._cfg = None
             removed_set = set(removed)
             for block in self.blocks:
                 for phi in block.phis():
@@ -150,6 +195,8 @@ class Function:
 def retarget(term: Instruction, old: BasicBlock, new: BasicBlock) -> None:
     """Point every arm of terminator ``term`` that names ``old`` at
     ``new``; raises when none does."""
+    if term.block is not None and term.block.function is not None:
+        term.block.function.cfg_changed()
     if isinstance(term, Jump) and term.target is old:
         term.target = new
     elif isinstance(term, CondJump) and old in (term.if_true, term.if_false):

@@ -325,6 +325,7 @@ class _UnitLowering:
             self.builder.set_block(exit_block)
         else:
             self.function.blocks.remove(exit_block)
+            self.function.cfg_changed()
             self.builder.set_block(self.function.new_block("dead"))
 
     def _lower_call(self, stmt: ast.CallStmt) -> None:

@@ -7,7 +7,7 @@ debuggable, so every pass-level test runs the verifier on its output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..errors import IRError
 from .basicblock import BasicBlock
@@ -15,20 +15,36 @@ from .function import Function, Module
 from .instructions import Check, Instruction, Phi, SpecGuard
 from .values import Var
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis.dominance import Dominance
+
 
 def verify_function(function: Function) -> None:
-    """Raise :class:`IRError` when ``function`` violates an IR invariant."""
+    """Raise :class:`IRError` when ``function`` violates an IR invariant.
+
+    The verifier derives predecessor lists and reverse postorder from
+    the blocks itself, and raises when the function holds a CFG
+    snapshot (:meth:`Function.cfg`) that disagrees with them: an edit
+    that bypassed :meth:`Function.cfg_changed` fails here instead of
+    misleading a later analysis.
+    """
     if function.entry is None:
         raise IRError("function %s has no entry block" % function.name)
-    if function.entry not in function.blocks:
+    block_set = set(function.blocks)
+    if function.entry not in block_set:
         raise IRError("entry of %s is not in the block list" % function.name)
     names = set()
+    successors: Dict[BasicBlock, List[BasicBlock]] = {}
     for block in function.blocks:
         if block.name in names:
             raise IRError("duplicate block name %r" % block.name)
         names.add(block.name)
-        _verify_block(function, block)
-    preds = function.predecessor_map()
+        successors[block] = _verify_block(function, block, block_set)
+    preds: Dict[BasicBlock, List[BasicBlock]] = {
+        block: [] for block in function.blocks}
+    for block in function.blocks:
+        for succ in successors[block]:
+            preds[succ].append(block)
     for block in function.blocks:
         pred_set = preds[block]
         for phi in block.phis():
@@ -38,7 +54,7 @@ def verify_function(function: Function) -> None:
                     "supply its value" % (phi, block.name))
             phi_blocks = [blk for blk, _ in phi.incoming]
             for blk in phi_blocks:
-                if blk not in function.blocks:
+                if blk not in block_set:
                     raise IRError(
                         "phi %s in %s names incoming block %s which is "
                         "not in the function" % (phi, block.name, blk.name))
@@ -52,10 +68,38 @@ def verify_function(function: Function) -> None:
                 raise IRError(
                     "phi %s in %s disagrees with predecessors %s"
                     % (phi, block.name, sorted(b.name for b in pred_set)))
-    _verify_dominance(function)
+
+    from ..analysis.dataflow import depth_first_order
+
+    rpo = depth_first_order(function.entry, successors.__getitem__)
+    dominance = _audit_snapshot(function, preds, rpo)
+    _verify_dominance(function, preds, rpo, dominance)
 
 
-def _verify_block(function: Function, block: BasicBlock) -> None:
+def _audit_snapshot(function: Function,
+                    preds: Dict[BasicBlock, List[BasicBlock]],
+                    rpo: List[BasicBlock]) -> Optional[Dominance]:
+    """Raise when ``function``'s CFG snapshot disagrees with the
+    verifier's own predecessor lists or RPO.  Returns the snapshot's
+    dominator facts when it holds them: they are a function of those
+    two, which it then has and agrees on."""
+    snapshot = function._cfg  # a peek: the verifier builds none
+    if snapshot is None:
+        return None
+    if snapshot.preds != preds:
+        raise IRError(
+            "function %s: its CFG snapshot's predecessor lists are stale "
+            "(a CFG edit did not call cfg_changed)" % function.name)
+    if snapshot.rpo is not None and snapshot.rpo != rpo:
+        raise IRError(
+            "function %s: its CFG snapshot's reverse postorder is stale "
+            "(a CFG edit did not call cfg_changed)" % function.name)
+    return snapshot.dominance
+
+
+def _verify_block(function: Function, block: BasicBlock,
+                  block_set: Set[BasicBlock]) -> List[BasicBlock]:
+    """Check one block; returns its successors."""
     if block.function is not function:
         raise IRError("block %s not attached to %s" % (block.name, function.name))
     if not block.instructions:
@@ -78,10 +122,12 @@ def _verify_block(function: Function, block: BasicBlock) -> None:
             _verify_check(inst)
         if isinstance(inst, SpecGuard):
             _verify_spec_guard(inst)
-    for succ in term.successors():
-        if succ not in function.blocks:
+    successors = term.successors()
+    for succ in successors:
+        if succ not in block_set:
             raise IRError("block %s targets unknown block %s"
                           % (block.name, succ.name))
+    return successors
 
 
 def _verify_check(check: Check) -> None:
@@ -144,7 +190,10 @@ def _collect_single_defs(
     return defs
 
 
-def _verify_dominance(function: Function) -> None:
+def _verify_dominance(function: Function,
+                      preds: Dict[BasicBlock, List[BasicBlock]],
+                      rpo: List[BasicBlock],
+                      dominance: Optional[Dominance]) -> None:
     """Single-def and def-dominates-use, for functions in SSA form.
 
     Gated on ``function.ssa_form`` (set by SSA construction, cleared by
@@ -155,17 +204,20 @@ def _verify_dominance(function: Function) -> None:
     its definition (for a phi use, the definition must dominate the
     incoming predecessor).  Variables with *no* defining instruction
     are skipped -- parameters, and reads before any write, which keep
-    their unversioned name.
+    their unversioned name.  ``dominance`` is the audited snapshot's
+    dominator facts, or None to derive them from ``preds`` and
+    ``rpo``.
     """
     if not function.ssa_form:
         return
     defs = _collect_single_defs(function)
     param_names = {p.name for p in function.params}
 
-    from ..analysis.dominance import DominatorTree
+    if dominance is None:
+        from ..analysis.dominance import Dominance
 
-    domtree = DominatorTree(function)
-    reachable = set(id(b) for b in domtree.rpo)
+        dominance = Dominance(rpo, preds)
+    reachable = set(rpo)
 
     def check_use(value, use_block: BasicBlock, use_index: int,
                   inst: Instruction) -> None:
@@ -175,7 +227,7 @@ def _verify_dominance(function: Function) -> None:
         if name in param_names or name not in defs:
             return
         def_block, def_index = defs[name]
-        if id(def_block) not in reachable:
+        if def_block not in reachable:
             raise IRError(
                 "use of %s in %s (%s) reaches a definition in "
                 "unreachable block %s"
@@ -185,14 +237,14 @@ def _verify_dominance(function: Function) -> None:
                 return
             raise IRError("use of %s in %s (%s) precedes its definition"
                           % (name, use_block.name, inst))
-        if domtree.strictly_dominates(def_block, use_block):
+        if dominance.dominates(def_block, use_block):
             return
         raise IRError(
             "definition of %s in %s does not dominate its use in %s (%s)"
             % (name, def_block.name, use_block.name, inst))
 
     for block in function.blocks:
-        if id(block) not in reachable:
+        if block not in reachable:
             continue  # dominance is undefined off the reachable CFG
         for index, inst in enumerate(block.instructions):
             if isinstance(inst, Phi):

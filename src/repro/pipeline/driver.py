@@ -115,9 +115,10 @@ def run_frontend(source: str, rotate_loops: bool = False,
 
 
 def _run_check_optimizer(module: Module, options: OptimizerOptions,
-                         trace: PipelineTrace) -> Dict[str, OptimizeStats]:
+                         trace: PipelineTrace,
+                         verify_ir: bool = False) -> Dict[str, OptimizeStats]:
     with trace.timed("check-optimize", module_size(module)) as event:
-        stats = optimize_module(module, options)
+        stats = optimize_module(module, options, verify_ir)
         event.size_after = module_size(module)
         event.counters = {
             "checks_before": sum(s.checks_before for s in stats.values()),
@@ -306,7 +307,8 @@ def compile_source(source: str,
       frontend prefix is fetched from it — the module a miss built, or
       a private copy on a hit — instead of re-running parse/lower/SSA;
     * ``verify_ir=True`` runs the IR verifier after every pass and
-      raises :class:`~repro.errors.IRError` naming the offending pass;
+      every check-optimize step, and raises
+      :class:`~repro.errors.IRError` naming the offending one;
     * otherwise the checks are optimized under ``options``.
 
     Inlining is an ``options`` axis (``OptimizerOptions.inline``), not
@@ -334,7 +336,7 @@ def compile_source(source: str,
         # source digest and configuration it was trained under.
         options.profile.validate_for(source, options.kind.value,
                                      options.implication.value)
-    stats = _run_check_optimizer(module, options, trace)
+    stats = _run_check_optimizer(module, options, trace, verify_ir)
     if verify_ir:
         _verify_after(module, "check-optimize")
     return CompiledProgram(module, stats, trace=trace, options=options)

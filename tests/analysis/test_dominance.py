@@ -5,6 +5,7 @@ from repro.benchsuite.registry import all_programs
 from repro.ir import CondJump, Const, Function, Jump, Return
 
 from ..conftest import lower
+from .test_postdom import registry_functions
 
 
 def diamond():
@@ -120,3 +121,61 @@ class TestLazyFrontiers:
         expected = frontier_by_definition(f)
         f.split_edge(left, join)
         assert tree.frontier == expected
+
+
+def on_idom_chain(tree, a, b):
+    """The definition: ``a`` is ``b`` or an ancestor of ``b`` in the
+    immediate-dominator tree."""
+    node = b
+    while node is not None:
+        if node is a:
+            return True
+        node = tree.idom.get(node)
+    return False
+
+
+def assert_queries_match_the_chain(function):
+    tree = DominatorTree(function)
+    checked = 0
+    for a in function.blocks:
+        for b in function.blocks:
+            expected = on_idom_chain(tree, a, b)
+            assert tree.dominates(a, b) == expected, \
+                (function.name, a.name, b.name)
+            assert tree.strictly_dominates(a, b) == \
+                (expected and a is not b), (function.name, a.name, b.name)
+            checked += 1
+    return checked
+
+
+class TestConstantTimeQueries:
+    def test_registry_functions(self):
+        """Every block pair of the 13 registry and cross-call programs
+        under NI, MCM and SPEC, inline off and on, SSA and destructed."""
+        checked = sum(assert_queries_match_the_chain(function)
+                      for function in registry_functions())
+        assert checked > 100000
+
+    def test_unreachable_block_dominates_only_itself(self):
+        f, entry, header, body, exit_block = loop()
+        orphan = f.new_block("orphan")
+        orphan.append(Jump(body))
+        assert_queries_match_the_chain(f)
+        tree = DominatorTree(f)
+        assert tree.dominates(orphan, orphan)
+        assert not tree.strictly_dominates(orphan, orphan)
+        for block in (entry, header, body, exit_block):
+            assert not tree.dominates(orphan, block)
+            assert not tree.dominates(block, orphan)
+
+    def test_deep_tree(self):
+        """A chain of 3,000 blocks numbers without recursion."""
+        f = Function("f", is_main=True)
+        blocks = [f.new_block("b") for _ in range(3000)]
+        for block, succ in zip(blocks, blocks[1:]):
+            block.append(Jump(succ))
+        blocks[-1].append(Return())
+        tree = DominatorTree(f)
+        assert tree.dominates(blocks[0], blocks[-1])
+        assert tree.strictly_dominates(blocks[1000], blocks[2000])
+        assert not tree.dominates(blocks[2000], blocks[1000])

@@ -177,3 +177,45 @@ class TestPricedChoice:
 
         assert ir(uncovered) == ir(OptimizerOptions(scheme=Scheme.LO))
         assert ir(uncovered) != ir(self._trained(source, {}))
+
+
+class TestAvailabilitySolves:
+    def test_equal_edge_gens_share_one_solution(self, monkeypatch):
+        """LO solves availability for latest's placement, then prices
+        no insertion (the same edge gens) and latest's map: each
+        distinct system is solved once per check analysis."""
+        import repro.checks.optimizer as optimizer
+        from repro.checks.dataflow import CheckAnalysis
+
+        solve = CheckAnalysis.availability
+        lospre = optimizer.lospre_insertions
+        functions = []
+        solutions = []
+
+        def counted_lospre(analysis, *args):
+            functions.append(analysis.function.name)
+            # solution objects by identity, kept alive while counting
+            returned = {}
+
+            def availability(edge_gen=None):
+                result = solve(analysis, edge_gen)
+                returned[id(result[0])] = result
+                return result
+
+            analysis.availability = availability
+            try:
+                return lospre(analysis, *args)
+            finally:
+                del analysis.availability
+                solutions.extend(returned.values())
+
+        monkeypatch.setattr(optimizer, "lospre_insertions", counted_lospre)
+        for name in ("spec77", "trfd", "arc2d"):
+            program = get_program(name)
+            profile = train_profile(program.source,
+                                    OptimizerOptions(scheme=Scheme.LO),
+                                    program.test_inputs)
+            compile_source(program.source,
+                           OptimizerOptions(Scheme.LO, profile=profile))
+        assert len(functions) == 9
+        assert len(solutions) == 10
